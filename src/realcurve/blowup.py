@@ -18,13 +18,19 @@ exactly like the pullbacks.
 Resolution recurses: whenever the strict transform is singular at a rational
 point of the dedup-restricted fiber, that point is translated to the origin
 and blown up again.  Leaves are certified smooth along their restricted fiber
-by checking that the singular-locus ideal plus the fiber ideal is the unit
-ideal, a certificate over the complex numbers and not merely at real points.
+inside the finite-dimensional fiber algebra A = Q[x]/(restricted fiber): the
+codimension-sized jacobian minors of the strict transform, reduced into A
+and multiplied there, must generate all of A.  In an Artinian ring an ideal
+is proper exactly when its elements share a zero, so this is the statement
+that the singular-locus ideal plus the fiber ideal is the unit ideal, a
+certificate over the complex numbers and not merely at real points.  No
+minor is ever expanded as a polynomial, and the scan stops at the first
+minors that fill A.  A leaf keeps its fiber algebra for the point counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,9 +40,10 @@ from .errors import (
     NotACurve,
     OriginNotOnVariety,
 )
-from .groebner import normal_form
+from .groebner import GroebnerBasis, normal_form
 from .ideals import (
     IdealPresentation,
+    basis_dimension,
     groebner_basis,
     ideal,
     ideal_sum,
@@ -48,10 +55,19 @@ from .polynomials import Polynomial, VariableSet, ring_map
 from .singular import (
     RadicalityCertificate,
     is_smooth_at,
+    jacobian,
+    minors,
     radicality_certificate,
-    singular_locus_ideal,
 )
-from .zerodim import build, count_points, nonreduced_locus, rational_points
+from .zerodim import (
+    ZeroDimAlgebra,
+    algebra_from_basis,
+    build,
+    count_points,
+    generating_operators,
+    nonreduced_locus,
+    rational_points,
+)
 
 Q = Fraction
 
@@ -65,6 +81,11 @@ class BlowupChart:
     composed through every blow-up and translation on the way here.  depth
     counts the blow-ups performed; the identity chart of an unresolved smooth
     origin has depth 0 and no exceptional generator.
+
+    Two computed companions ride along without taking part in comparisons:
+    strict_basis, the reduced GREVLEX basis of strict_ideal that saturation
+    produced (charts fresh from a blow-up carry it), and fiber_algebra, the
+    restricted fiber algebra a certified leaf was checked in.
     """
 
     chart_index: int
@@ -74,6 +95,8 @@ class BlowupChart:
     pullbacks: tuple[Polynomial, ...]
     depth: int
     dedup_constraints: tuple[Polynomial, ...] = ()
+    strict_basis: GroebnerBasis | None = field(default=None, compare=False, repr=False)
+    fiber_algebra: ZeroDimAlgebra | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -85,10 +108,6 @@ class SmoothModel:
     @property
     def depth(self) -> int:
         return max((c.depth for c in self.charts), default=0)
-
-    @property
-    def fiber_dedup(self) -> tuple[tuple[Polynomial, ...], ...]:
-        return tuple(c.dedup_constraints for c in self.charts)
 
 
 @dataclass(frozen=True)
@@ -116,7 +135,7 @@ def _hat_names(names: Sequence[str], keep: int) -> VariableSet:
 def _check_pullback_soundness(chart: BlowupChart, original: IdealPresentation) -> None:
     # every original generator must land in the strict ideal once the chart
     # substitution is applied; violating this means the bookkeeping broke
-    gb = groebner_basis(chart.strict_ideal)
+    gb = chart.strict_basis
     for g in original.generators:
         image = ring_map(g, chart.chart_variables, list(chart.pullbacks))
         if gb.is_zero_ideal():
@@ -145,17 +164,18 @@ def blowup_origin(i: IdealPresentation) -> list[BlowupChart]:
             for idx in range(n)
         ]
         substituted = ideal(chart_vars, (ring_map(g, chart_vars, images) for g in i.generators))
-        strict = saturate(substituted, ideal(chart_vars, (center,))).ideal
+        strict = saturate(substituted, ideal(chart_vars, (center,)))
         chart = BlowupChart(
             chart_index=k,
             chart_variables=chart_vars,
-            strict_ideal=strict,
+            strict_ideal=strict.ideal,
             exceptional_generator=chart_vars.names[k],
             pullbacks=tuple(images),
             depth=1,
             dedup_constraints=tuple(
                 Polynomial.variable(chart_vars, idx) for idx in range(k)
             ),
+            strict_basis=strict.basis,
         )
         _check_pullback_soundness(chart, i)
         charts.append(chart)
@@ -229,6 +249,7 @@ def _compose_chart(previous: BlowupChart, chart: BlowupChart) -> BlowupChart:
         depth=previous.depth + 1,
         dedup_constraints=tuple(ring_map(q, target, images) for q in previous.dedup_constraints)
         + chart.dedup_constraints,
+        strict_basis=chart.strict_basis,
     )
 
 
@@ -260,36 +281,61 @@ def _resolve_chart(
     for raw in blowup_origin(current):
         chart = _compose_chart(state, raw)
         _check_pullback_soundness(chart, original)
-        strict = chart.strict_ideal
-        strict_gb = groebner_basis(strict)
-        if strict_gb.is_unit():
-            leaves.append(chart)
+        algebra = _fiber_algebra(chart)
+        singular = _singular_fiber(chart, algebra)
+        if singular is None:
+            leaves.append(replace(chart, fiber_algebra=algebra))
             continue
-        sing = singular_locus_ideal(strict, assume_equidimensional=True)
-        bad = ideal_sum(sing, fiber_ideal(chart, dedup=True))
-        if is_unit_ideal(bad):
-            leaves.append(chart)
-            continue
-        points, all_rational = rational_points(bad)
+        points, all_rational = rational_points(singular)
         if not all_rational:
-            raise IrrationalSingularFiberPoint(bad)
+            raise IrrationalSingularFiberPoint(singular)
         center = points[0]
         moved = _translate_chart(chart, center)
         _resolve_chart(moved.strict_ideal, moved, depth + 1, max_depth, leaves, original)
+
+
+def _fiber_algebra(chart: BlowupChart) -> ZeroDimAlgebra:
+    """Q[x]/(restricted fiber); the zero algebra when that fiber is empty."""
+    restricted = fiber_ideal(chart, dedup=True)
+    return algebra_from_basis(restricted, groebner_basis(restricted))
+
+
+def _singular_fiber(chart: BlowupChart, algebra: ZeroDimAlgebra) -> IdealPresentation | None:
+    """Where the strict transform is singular on the restricted fiber.
+
+    None when it is smooth there, i.e. when the codimension-sized jacobian
+    minors, as elements of the restricted fiber algebra, generate all of it.
+    Otherwise the restricted fiber plus the normal forms of the minors that
+    enlarged their ideal: the same ideal as singular locus plus fiber.
+    """
+    strict = chart.strict_ideal
+    n = len(strict.variables)
+    codim = n - basis_dimension(chart.strict_basis, n)
+    entries = [[algebra.operator(p) for p in row] for row in jacobian(strict).entries]
+    enlarging = generating_operators(algebra, minors(entries, n, codim))
+    if enlarging is None:
+        return None
+    return ideal_sum(
+        algebra.ideal, ideal(strict.variables, (algebra.element(m) for m in enlarging))
+    )
 
 
 def fiber_summary(model: SmoothModel) -> FiberSummary:
     """Point counts of the fiber over the original point, across all leaves.
 
     Real and complex counts use the dedup-restricted fiber so every geometric
-    point lands in exactly one chart.  Non-reducedness is read off the full
-    fiber scheme first (multiplicity is intrinsic) and only then restricted.
+    point lands in exactly one chart; leaves from the resolution bring that
+    fiber's algebra along, so it is built only for charts that lack one.
+    Non-reducedness is read off the full fiber scheme first (multiplicity is
+    intrinsic) and only then restricted.
     """
     real = complex_count = nonreduced_real = 0
     for chart in model.charts:
-        restricted = fiber_ideal(chart, dedup=True)
-        if not is_unit_ideal(restricted):
-            counts = count_points(build(restricted))
+        algebra = chart.fiber_algebra
+        if algebra is None:
+            algebra = _fiber_algebra(chart)
+        if algebra.dimension:
+            counts = count_points(algebra)
             real += counts.real_distinct
             complex_count += counts.complex_distinct
         full = fiber_ideal(chart, dedup=False)

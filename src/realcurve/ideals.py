@@ -71,9 +71,12 @@ def contains(i: IdealPresentation, f: Polynomial, gb: GroebnerBasis | None = Non
     return normal_form(f, gb).is_zero()
 
 
-def is_subideal(a: IdealPresentation, b: IdealPresentation) -> bool:
+def is_subideal(
+    a: IdealPresentation, b: IdealPresentation, gb: GroebnerBasis | None = None
+) -> bool:
     """True when every generator of a lies in b."""
-    gb = groebner_basis(b)
+    if gb is None:
+        gb = groebner_basis(b)
     return all(contains(b, g, gb) for g in a.generators)
 
 
@@ -166,11 +169,13 @@ class SaturationResult:
     """Stable quotient chain limit plus how many strict growth steps it took.
 
     The iteration count is the multiplicity diagnostic: for a strict transform
-    it equals the power of the exceptional divisor divided out.
+    it equals the power of the exceptional divisor divided out.  The basis is
+    the reduced GREVLEX basis of the limit, which the stability test computes.
     """
 
     ideal: IdealPresentation
     iterations: int
+    basis: GroebnerBasis
 
 
 def saturate(i: IdealPresentation, j: IdealPresentation) -> SaturationResult:
@@ -179,8 +184,9 @@ def saturate(i: IdealPresentation, j: IdealPresentation) -> SaturationResult:
     steps = 0
     while True:
         nxt = quotient(current, j)
-        if ideal_equal(nxt, current):
-            return SaturationResult(current, steps)
+        basis = groebner_basis(current)
+        if is_subideal(nxt, current, basis) and is_subideal(current, nxt):
+            return SaturationResult(current, steps, basis)
         current = nxt
         steps += 1
 
@@ -193,15 +199,18 @@ def krull_dimension(i: IdealPresentation) -> int:
     unit ideal reports -1.  The subset search is exponential in the variable
     count, which is fine at the ambient sizes handled here.
     """
-    n = len(i.variables)
     if not i.generators:
-        return n
-    gb = groebner_basis(i)
+        return len(i.variables)
+    return basis_dimension(groebner_basis(i), len(i.variables))
+
+
+def basis_dimension(gb: GroebnerBasis, n: int) -> int:
+    """Krull dimension of the ideal a Groebner basis generates in n variables."""
     if gb.is_unit():
         return -1
     if gb.is_zero_ideal():
         return n
-    lms = [g.leading_monomial(GREVLEX) for g in gb.basis]
+    lms = [g.leading_monomial(gb.order) for g in gb.basis]
     supports = [frozenset(idx for idx, x in enumerate(e) if x) for e in lms]
     for size in range(n, 0, -1):
         for subset in combinations(range(n), size):

@@ -285,12 +285,21 @@ class RationalMatrix:
             for j in range(i + 1, self.cols)
         )
 
-    def transpose(self) -> "RationalMatrix":
+    def is_zero(self) -> bool:
+        return not any(self.entries)
+
+    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("dimension mismatch in matrix sum")
         return RationalMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
+            self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries))
         )
+
+    def __neg__(self) -> "RationalMatrix":
+        return RationalMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
+
+    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
+        return self + (-other)
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:

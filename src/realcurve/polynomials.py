@@ -86,9 +86,6 @@ class MonomialOrder:
         k = self.split
         return (_grevlex_key(e[:k]), _grevlex_key(e[k:]))
 
-    def greater(self, a: Exponent, b: Exponent) -> bool:
-        return self.key(a) > self.key(b)
-
     def __str__(self) -> str:
         return f"elim:{self.split}" if self.kind == "block" else self.kind
 
@@ -180,11 +177,6 @@ class Polynomial:
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.vars), Q(0))
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(monomial_degree(e) for e in self.terms)
 
     def degree_in(self, var: int) -> int:
         if not self.terms:
@@ -473,16 +465,6 @@ def _coefficients_in(f: Polynomial, var: int) -> dict[int, Polynomial]:
         stripped[var] = 0
         out.setdefault(d, {})[tuple(stripped)] = c
     return {d: Polynomial(f.vars, t) for d, t in out.items()}
-
-
-def _from_coefficients(vars: VariableSet, var: int, coeffs: Mapping[int, Polynomial]) -> Polynomial:
-    terms: dict[Exponent, Fraction] = {}
-    for d, p in coeffs.items():
-        for e, c in p.terms.items():
-            lifted = list(e)
-            lifted[var] += d
-            terms[tuple(lifted)] = c
-    return Polynomial(vars, terms)
 
 
 def _active_vars(f: Polynomial) -> set[int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import DimensionUnknown, PointNotOnVariety, RankTooLarge
 from .ideals import IdealPresentation, ideal, ideal_sum, krull_dimension
@@ -55,7 +55,8 @@ def rank_at(m: JacobianMatrix, point: Sequence) -> int:
     return evaluated.rank()
 
 
-def _poly_det(rows: list[list[Polynomial]]) -> Polynomial:
+def _det(rows: list[list]):
+    # Laplace expansion along the first row; entries need +, -, * and is_zero()
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -66,14 +67,28 @@ def _poly_det(rows: list[list[Polynomial]]) -> Polynomial:
         if rows[0][j].is_zero():
             continue
         minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        term = rows[0][j] * _poly_det(minor)
+        term = rows[0][j] * _det(minor)
         if j % 2:
             term = -term
         acc = term if acc is None else acc + term
     if acc is None:
-        first = rows[0][0]
-        return Polynomial.zero(first.vars)
+        return rows[0][0]  # the whole first row is zero
     return acc
+
+
+def minors(entries: Sequence[Sequence], cols: int, r: int) -> Iterator:
+    """Every r x r minor of a matrix with the given column count, lazily.
+
+    Row choices vary slowest, then column choices, each in lexicographic
+    order.  Entries may lie in any commutative ring whose elements support
+    +, -, * and is_zero(): polynomials, or the multiplication matrices of a
+    zero-dimensional algebra.
+    """
+    if r > min(len(entries), cols):
+        raise RankTooLarge(f"{r}x{r} minors of a {len(entries)}x{cols} matrix")
+    for rows_sel in combinations(range(len(entries)), r):
+        for cols_sel in combinations(range(cols), r):
+            yield _det([[entries[i][j] for j in cols_sel] for i in rows_sel])
 
 
 def minors_ideal(m: JacobianMatrix, r: int) -> IdealPresentation:
@@ -81,20 +96,16 @@ def minors_ideal(m: JacobianMatrix, r: int) -> IdealPresentation:
     variables = m.variables
     if r == 0:
         return ideal(variables, (Polynomial.one(variables),))
-    if r > min(m.rows, m.cols):
-        raise RankTooLarge(f"{r}x{r} minors of a {m.rows}x{m.cols} matrix")
     gens = []
     seen = set()
-    for rows_sel in combinations(range(m.rows), r):
-        for cols_sel in combinations(range(m.cols), r):
-            det = _poly_det([[m.entries[i][j] for j in cols_sel] for i in rows_sel])
-            if det.is_zero():
-                continue
-            det = det.primitive()
-            key = frozenset(det.terms.items())
-            if key not in seen:
-                seen.add(key)
-                gens.append(det)
+    for det in minors(m.entries, m.cols, r):
+        if det.is_zero():
+            continue
+        det = det.primitive()
+        key = frozenset(det.terms.items())
+        if key not in seen:
+            seen.add(key)
+            gens.append(det)
     return ideal(variables, gens)
 
 

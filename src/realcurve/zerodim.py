@@ -5,7 +5,9 @@ monomials (those outside the leading-term ideal) form a vector-space basis and
 multiplication by each variable becomes a rational matrix.  Distinct complex
 and real solution counts then come out of the Hermite trace form: its rank is
 the number of distinct complex points and its signature the number of real
-ones, both computed exactly.
+ones, both computed exactly.  Any element acts on the algebra by its own
+multiplication matrix, so questions about the ideal some elements generate
+(is it the whole algebra?) become echelon-form linear algebra.
 
 The zero-dimensional radical is Seidenberg's: adjoin the squarefree part of
 the minimal polynomial of every coordinate.  The non-reduced locus is the
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd as int_gcd, isqrt
+from typing import Iterable
 
 from .errors import NotZeroDimensional
 from .groebner import GroebnerBasis, normal_form
@@ -28,7 +31,6 @@ from .ideals import (
     groebner_basis,
     ideal,
     ideal_sum,
-    krull_dimension,
     quotient,
 )
 from .linalg import (
@@ -62,6 +64,17 @@ class ZeroDimAlgebra:
     def dimension(self) -> int:
         return len(self.basis)
 
+    def operator(self, f: Polynomial) -> RationalMatrix:
+        """Matrix of multiplication by f; column j holds f * basis[j]."""
+        return _operator(self.gb, self.basis, f)
+
+    def element(self, m: RationalMatrix) -> Polynomial:
+        """The normal-form polynomial whose multiplication matrix is m."""
+        # basis[0] is the monomial 1, so column 0 holds the coordinates of m * 1
+        return Polynomial.from_terms(
+            self.ideal.variables, dict(zip(self.basis, m.entries[:: m.cols]))
+        )
+
 
 def _standard_monomials(gb: GroebnerBasis, n: int) -> list[Exponent]:
     lms = [g.leading_monomial(gb.order) for g in gb.basis]
@@ -83,35 +96,79 @@ def _standard_monomials(gb: GroebnerBasis, n: int) -> list[Exponent]:
     return out
 
 
-def build(i: IdealPresentation) -> ZeroDimAlgebra:
-    """Assemble basis and commuting multiplication matrices for a 0-dim ideal."""
-    if krull_dimension(i) != 0:
-        raise NotZeroDimensional("ideal is not zero-dimensional")
-    gb = groebner_basis(i, GREVLEX)
-    n = len(i.variables)
-    basis = _standard_monomials(gb, n)
+def _operator(gb: GroebnerBasis, basis: tuple[Exponent, ...], f: Polynomial) -> RationalMatrix:
     index = {e: pos for pos, e in enumerate(basis)}
     d = len(basis)
-    matrices = []
-    for var in range(n):
-        cols = []
-        for e in basis:
-            shifted = list(e)
-            shifted[var] += 1
-            mono = Polynomial.from_terms(i.variables, {tuple(shifted): 1})
-            nf = normal_form(mono, gb)
-            col = [Q(0)] * d
-            for te, tc in nf.terms.items():
-                col[index[te]] = tc
-            cols.append(col)
-        matrices.append(
-            RationalMatrix(d, d, tuple(cols[j][r] for r in range(d) for j in range(d)))
-        )
+    entries = [Q(0)] * (d * d)
+    for j, e in enumerate(basis):
+        shifted = f * Polynomial.from_terms(f.vars, {e: 1})
+        for te, tc in normal_form(shifted, gb).terms.items():
+            entries[index[te] * d + j] = tc
+    return RationalMatrix(d, d, tuple(entries))
+
+
+def build(i: IdealPresentation) -> ZeroDimAlgebra:
+    """Assemble basis and commuting multiplication matrices for a 0-dim ideal.
+
+    One GREVLEX basis serves both the algebra and the zero-dimensionality
+    test; the unit ideal is rejected too, since it has no points.
+    """
+    gb = groebner_basis(i, GREVLEX)
+    if gb.is_unit():
+        raise NotZeroDimensional("the unit ideal is not zero-dimensional")
+    return algebra_from_basis(i, gb)
+
+
+def algebra_from_basis(i: IdealPresentation, gb: GroebnerBasis) -> ZeroDimAlgebra:
+    """The algebra Q[x]/i from a reduced GREVLEX basis of i.
+
+    The unit ideal gives the zero algebra, with no basis monomials; an ideal
+    of positive dimension raises NotZeroDimensional.
+    """
+    n = len(i.variables)
+    basis = () if gb.is_unit() else tuple(_standard_monomials(gb, n))
+    matrices = [_operator(gb, basis, Polynomial.variable(i.variables, var)) for var in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
             if matrices[a] * matrices[b] != matrices[b] * matrices[a]:
                 raise AssertionError("multiplication matrices fail to commute")
-    return ZeroDimAlgebra(i, gb, tuple(basis), tuple(matrices))
+    return ZeroDimAlgebra(i, gb, basis, tuple(matrices))
+
+
+def generating_operators(
+    algebra: ZeroDimAlgebra, operators: Iterable[RationalMatrix]
+) -> list[RationalMatrix] | None:
+    """The operators that enlarge the ideal they generate, in scan order.
+
+    The ideal generated by an element m is spanned by m * basis[j], the
+    columns of its multiplication matrix, so the ideals of the scanned
+    elements accumulate in one echelon form.  Returns None, and stops
+    scanning, as soon as that ideal is the whole algebra; the zero algebra
+    returns None before consuming anything.
+    """
+    d = algebra.dimension
+    if d == 0:
+        return None
+    pivots: list[tuple[int, list[Fraction]]] = []
+    enlarging: list[RationalMatrix] = []
+    for m in operators:
+        grew = False
+        for j in range(d):
+            vec = list(m.entries[j :: d])
+            for col, pvec in pivots:
+                if vec[col]:
+                    f = vec[col]
+                    vec = [a - f * b for a, b in zip(vec, pvec)]
+            nz = next((idx for idx, v in enumerate(vec) if v), None)
+            if nz is None:
+                continue
+            pivots.append((nz, [v / vec[nz] for v in vec]))
+            grew = True
+            if len(pivots) == d:
+                return None
+        if grew:
+            enlarging.append(m)
+    return enlarging
 
 
 def _monomial_operator_traces(algebra: ZeroDimAlgebra) -> dict[Exponent, Fraction]:
@@ -235,9 +292,10 @@ def zerodim_radical(i: IdealPresentation) -> IdealPresentation:
 
 
 def nonreduced_locus(i: IdealPresentation) -> IdealPresentation:
-    """(I : radical(I)); vanishes exactly at the non-reduced fiber points."""
-    if krull_dimension(i) != 0:
-        raise NotZeroDimensional("non-reduced locus needs a zero-dimensional ideal")
+    """(I : radical(I)); vanishes exactly at the non-reduced fiber points.
+
+    Raises NotZeroDimensional, through build, unless i is zero-dimensional.
+    """
     return quotient(i, zerodim_radical(i))
 
 

@@ -94,6 +94,19 @@ def test_pullback_soundness(node):
             assert ideal_membership(image, chart.strict_ideal)
 
 
+def test_pullback_soundness_check_rejects_broken_bookkeeping(node):
+    # the check reads the basis saturation left on the chart; it must still fail
+    from dataclasses import replace
+
+    from realcurve.blowup import _check_pullback_soundness
+
+    for chart in blowup_origin(node):
+        _check_pullback_soundness(chart, node)
+        swapped = replace(chart, pullbacks=chart.pullbacks[::-1])
+        with pytest.raises(AssertionError):
+            _check_pullback_soundness(swapped, node)
+
+
 def test_dedup_constraints_shape(node):
     charts = blowup_origin(node)
     assert charts[0].dedup_constraints == ()
@@ -180,3 +193,185 @@ def test_leaf_smoothness_certificate(node):
             continue
         sing = singular_locus_ideal(chart.strict_ideal, assume_equidimensional=True)
         assert is_unit_ideal(ideal_sum(sing, fiber_ideal(chart, dedup=True)))
+
+
+# ---------------------------------------------------------------------------
+# leaf certification in the restricted fiber algebra
+
+
+def _record_leaf_checks(monkeypatch, run):
+    """Run `run` and return (chart, singular fiber ideal or None) per visited chart."""
+    from realcurve import blowup
+
+    visited = []
+    original = blowup._singular_fiber
+
+    def recording(chart, algebra):
+        result = original(chart, algebra)
+        visited.append((chart, result))
+        return result
+
+    with monkeypatch.context() as m:
+        m.setattr(blowup, "_singular_fiber", recording)
+        run()
+    return visited
+
+
+def _ideal_level_singular_fiber(chart):
+    # the certificate in polynomial terms: singular locus plus restricted fiber
+    from realcurve import ideal_sum
+    from realcurve.singular import singular_locus_ideal
+
+    sing = singular_locus_ideal(chart.strict_ideal, assume_equidimensional=True)
+    return ideal_sum(sing, fiber_ideal(chart, dedup=True))
+
+
+def _golden_run(name):
+    import json
+    from pathlib import Path
+
+    from realcurve import FourBarParams, analyze_fourbar, classify_point, parse_ideal
+
+    data = json.loads((Path(__file__).parent / "goldens" / f"{name}.json").read_text())
+    inp = data["input"]
+    opts = inp["options"]
+    if "fourbar" in data:
+        params = FourBarParams.of(Q(opts["l2"]), Q(opts["l4"]), Q(opts["l3"]))
+        return lambda: analyze_fourbar(params, max_depth=opts["max_depth"])
+    text = f"vars: {inp['variables']}\n" + "".join(g + "\n" for g in inp["generators"])
+    point = [Q(c) for c in inp["point"].split(",")]
+    return lambda: classify_point(
+        parse_ideal(text), point, assume_radical=opts["assume_radical"], max_depth=opts["max_depth"]
+    )
+
+
+def _seeded_fourbars(count, seed):
+    import random
+
+    from realcurve import FourBarParams
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        params = FourBarParams.of(
+            Q(rng.randint(1, 24), rng.randint(1, 6)), Q(rng.randint(1, 24), rng.randint(1, 6))
+        )
+        if params.l3 > 0 and not params.violations():
+            out.append(params)
+    return out
+
+
+TACNODE_CHAIN = "((y - x)^2 - x^4)*((y - 2x)^2 - x^4)*((y - 3x)^2 - x^4)"
+GOLDENS = (
+    "branch_hidden",
+    "c3_cusp_chain",
+    "definite_form",
+    "fourbar_three_halves",
+    "irrational_line",
+    "node",
+)
+
+
+def _agreement_runs():
+    from realcurve import analyze_fourbar, classify_point
+
+    runs = [(f"golden:{name}", _golden_run(name)) for name in GOLDENS]
+    for params in _seeded_fourbars(3, seed=7):
+        runs.append((f"fourbar:{params.l2},{params.l4}", lambda p=params: analyze_fourbar(p)))
+    chain = make_ideal("x,y", TACNODE_CHAIN)
+    runs.append(("tacnode-chain", lambda: classify_point(chain, [0, 0])))
+    return runs
+
+
+AGREEMENT_RUNS = _agreement_runs()
+
+
+@pytest.mark.parametrize("label, run", AGREEMENT_RUNS, ids=[label for label, _ in AGREEMENT_RUNS])
+def test_fiber_algebra_leaf_check_agrees_with_ideal_level_check(monkeypatch, label, run):
+    visited = _record_leaf_checks(monkeypatch, run)
+    assert visited
+    for chart, singular in visited:
+        old = _ideal_level_singular_fiber(chart)
+        assert (singular is None) == is_unit_ideal(old)
+        if singular is not None:
+            assert ideal_equal(singular, old)
+    if label == "tacnode-chain":
+        assert any(singular is not None for _, singular in visited)
+
+
+def test_leaf_check_needs_the_span_of_several_minors():
+    # on the circle, d/dx vanishes at (0, 1) and d/dy at (1, 0): neither
+    # minor is a unit of the fiber algebra, but together they generate it
+    from realcurve import BlowupChart, ideal_sum
+    from realcurve.blowup import _fiber_algebra, _singular_fiber
+    from realcurve.ideals import groebner_basis
+    from realcurve.zerodim import generating_operators
+
+    strict = make_ideal("x,y", "x^2 + y^2 - 1")
+    chart = BlowupChart(
+        chart_index=0,
+        chart_variables=strict.variables,
+        strict_ideal=strict,
+        exceptional_generator=None,
+        pullbacks=(poly("x + y - 1"),),
+        depth=1,
+        strict_basis=groebner_basis(strict),
+    )
+    fiber = fiber_ideal(chart, dedup=True)
+    assert ideal_equal(fiber, make_ideal("x,y", "x^2 + y^2 - 1", "x + y - 1"))
+    algebra = _fiber_algebra(chart)
+    assert algebra.dimension == 2
+    for partial in ("2x", "2y"):
+        assert not is_unit_ideal(ideal_sum(fiber, make_ideal("x,y", partial)))
+        assert generating_operators(algebra, [algebra.operator(poly(partial))]) is not None
+    assert _singular_fiber(chart, algebra) is None
+
+
+def test_leaves_hand_their_fiber_algebra_to_fiber_summary(monkeypatch):
+    from realcurve import blowup
+
+    model = resolve_curve(make_ideal("x,y", "y^3 - x^10"), max_depth=8)
+    assert all(chart.fiber_algebra is not None for chart in model.charts)
+
+    def rebuilt(chart):
+        raise AssertionError("a leaf's fiber algebra was built twice")
+
+    monkeypatch.setattr(blowup, "_fiber_algebra", rebuilt)
+    summary = fiber_summary(model)
+    assert (summary.real_points, summary.nonreduced_real_points) == (1, 1)
+
+
+def test_strict_transform_basis_comes_from_saturation_only(monkeypatch):
+    # the soundness checks, the dimension and the leaf check all reuse the
+    # basis that saturation computed; none of them runs Buchberger on it again
+    from collections import Counter
+
+    import realcurve.ideals as ideals_module
+    from realcurve import blowup
+
+    outside = Counter()
+    saturating = []
+    original_buchberger = ideals_module.buchberger
+    original_saturate = blowup.saturate
+
+    def counting(gens, order):
+        if not saturating:
+            outside[tuple(gens), str(order)] += 1
+        return original_buchberger(gens, order)
+
+    def marked(i, j):
+        saturating.append(True)
+        try:
+            return original_saturate(i, j)
+        finally:
+            saturating.pop()
+
+    monkeypatch.setattr(ideals_module, "buchberger", counting)
+    monkeypatch.setattr(blowup, "saturate", marked)
+    visited = _record_leaf_checks(
+        monkeypatch, lambda: resolve_curve(make_ideal("x,y", TACNODE_CHAIN))
+    )
+    assert len(visited) > 2
+    for chart, _ in visited:
+        assert chart.strict_basis is not None
+        assert outside[chart.strict_ideal.generators, "grevlex"] == 0

@@ -14,6 +14,7 @@ from realcurve import (
     quotient,
     saturate,
 )
+from realcurve.ideals import basis_dimension, groebner_basis
 
 from conftest import make_ideal
 
@@ -138,3 +139,15 @@ def test_dimension_unit_ideal():
 def test_unit_ideal_detection():
     assert is_unit_ideal(make_ideal("x,y", "x", "x + 1"))
     assert not is_unit_ideal(make_ideal("x,y", "x"))
+
+
+def test_saturation_carries_the_basis_of_its_limit():
+    i = make_ideal("t,x,y", "t^2x", "t^3y")
+    res = saturate(i, make_ideal("t,x,y", "t"))
+    assert res.basis == groebner_basis(res.ideal)
+
+
+def test_basis_dimension_matches_krull_dimension():
+    for gens in (("y^2 - x^3",), ("x", "y"), ("x", "x - 1"), ("x*y",), ("0",)):
+        i = make_ideal("x,y", *gens)
+        assert basis_dimension(groebner_basis(i), 2) == krull_dimension(i)

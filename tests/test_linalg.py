@@ -143,3 +143,14 @@ def test_characteristic_polynomial_similarity_invariant():
                 continue
         conjugated = p * m * p_inv
         assert characteristic_polynomial(conjugated) == characteristic_polynomial(m)
+
+
+def test_matrix_sum_difference_and_negation():
+    a = RationalMatrix.from_rows([[1, 2], [3, 4]])
+    b = RationalMatrix.from_rows([[Q(1, 2), 0], [-1, 4]])
+    assert a + b == RationalMatrix.from_rows([[Q(3, 2), 2], [2, 8]])
+    assert a - a == RationalMatrix.zero(2, 2)
+    assert (a - a).is_zero() and not a.is_zero()
+    assert -a + a == RationalMatrix.zero(2, 2)
+    with pytest.raises(ValueError):
+        a + RationalMatrix.zero(2, 3)

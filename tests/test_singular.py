@@ -127,3 +127,21 @@ def test_principal_squarefree_singular_locus_is_small():
     for gen in ("y^2 - x^2 - x^3", "y^3 + 2x^2y - x^4", "x^3 - 5y^3"):
         i = make_ideal("x,y", gen)
         assert krull_dimension(singular_locus_ideal(i)) < krull_dimension(i)
+
+
+def test_minors_over_multiplication_matrices_match_polynomial_minors():
+    from realcurve import build
+    from realcurve.singular import minors
+
+    a = build(make_ideal("x,y", "x^2 - 2", "y^2 - 3"))
+    entries = [
+        [poly("x"), poly("y + 1")],
+        [poly("x*y"), poly("2")],
+        [poly("x - y"), poly("0")],
+    ]
+    operators = [[a.operator(p) for p in row] for row in entries]
+    for r in (1, 2):
+        expanded = [a.operator(m) for m in minors(entries, 2, r)]
+        assert expanded == list(minors(operators, 2, r))
+    with pytest.raises(RankTooLarge):
+        next(minors(operators, 2, 3))

@@ -198,3 +198,67 @@ def test_rational_points_detect_irrational():
     pts, all_rational = rational_points(make_ideal("x,y", "x^2 - 2", "y"))
     assert pts == []
     assert not all_rational
+
+
+def test_build_rejects_unit_ideal():
+    with pytest.raises(NotZeroDimensional):
+        build(make_ideal("x,y", "x", "x - 1"))
+
+
+def test_nonreduced_locus_rejects_unit_ideal_and_curves():
+    for i in (make_ideal("x,y", "x", "x - 1"), make_ideal("x,y", "y^2 - x^3")):
+        with pytest.raises(NotZeroDimensional):
+            nonreduced_locus(i)
+
+
+def test_build_computes_one_basis(monkeypatch):
+    import realcurve.ideals as ideals_module
+
+    calls = []
+    original = ideals_module.buchberger
+
+    def counting(gens, order):
+        calls.append(order)
+        return original(gens, order)
+
+    monkeypatch.setattr(ideals_module, "buchberger", counting)
+    build(make_ideal("x,y", "x^2 - 2", "y^2 - x"))
+    assert len(calls) == 1
+
+
+def test_unit_ideal_gives_the_zero_algebra():
+    from realcurve.ideals import groebner_basis
+    from realcurve.zerodim import algebra_from_basis, generating_operators
+
+    i = make_ideal("x,y", "x", "x - 1")
+    a = algebra_from_basis(i, groebner_basis(i))
+    assert a.dimension == 0
+    assert generating_operators(a, iter(())) is None
+
+
+def test_operators_multiply_like_their_elements():
+    from realcurve.groebner import normal_form
+
+    a = build(make_ideal("x,y", "x^2 - 2", "y^2 - x"))
+    f, g = poly("x*y + 3"), poly("x - y^3")
+    assert a.operator(f) * a.operator(g) == a.operator(f * g)
+    assert a.operator(poly("x")) == a.mult_matrices[0]
+    assert a.element(a.operator(f)) == normal_form(f, a.gb)
+
+
+def test_generating_operators_stops_once_the_ideal_is_everything():
+    from realcurve.zerodim import generating_operators
+
+    a = build(make_ideal("x,y", "x^2 - 1", "y"))
+    scanned = []
+
+    def operators(texts):
+        for text in texts:
+            scanned.append(text)
+            yield a.operator(poly(text))
+
+    # x - 1 and x + 1 each vanish at one of the two points; together they fill A
+    assert generating_operators(a, operators(["x - 1", "x + 1", "x"])) is None
+    assert scanned == ["x - 1", "x + 1"]
+    kept = generating_operators(a, operators(["x - 1", "2x - 2", "y"]))
+    assert [a.element(m) for m in kept] == [poly("x - 1")]
