@@ -36,6 +36,7 @@ from typing import Sequence
 
 from .errors import (
     DepthExceeded,
+    DimensionUnknown,
     IrrationalSingularFiberPoint,
     NotACurve,
     OriginNotOnVariety,
@@ -47,25 +48,23 @@ from .ideals import (
     groebner_basis,
     ideal,
     ideal_sum,
-    is_unit_ideal,
     krull_dimension,
     saturate,
 )
 from .polynomials import Polynomial, VariableSet, ring_map
 from .singular import (
     RadicalityCertificate,
-    is_smooth_at,
     jacobian,
     minors,
     radicality_certificate,
+    rank_at,
 )
 from .zerodim import (
     ZeroDimAlgebra,
     algebra_from_basis,
-    build,
     count_points,
     generating_operators,
-    nonreduced_locus,
+    nonreduced_ideal,
     rational_points,
 )
 
@@ -217,19 +216,22 @@ def resolve_curve(
     """Resolve the curve at the origin by iterated point blow-ups.
 
     Smooth input is tolerated: it returns a depth-0 model whose single chart
-    is the identity.  Recursion only passes through rational singular fiber
-    points; a non-rational one aborts with the zero-dimensional ideal that
-    isolates it.
+    is the identity (the jacobian criterion, with the one computed dimension).
+    Recursion only passes through rational singular fiber points; a
+    non-rational one aborts with the zero-dimensional ideal that isolates it.
     """
-    if krull_dimension(i) != 1:
-        raise NotACurve("resolution expects a one-dimensional ideal")
+    dimension = krull_dimension(i)
+    if dimension != 1:
+        raise NotACurve(dimension)
     if certificate is None and not assume_radical:
         certificate = radicality_certificate(i)
-    origin = [Q(0)] * len(i.variables)
     for g in i.generators:
         if g.constant_term() != 0:
             raise OriginNotOnVariety("the origin is not on the variety")
-    if is_smooth_at(i, origin, certificate=certificate, assume_radical=assume_radical):
+    if not assume_radical and not certificate.known:
+        raise DimensionUnknown("radicality not certified; pass assume_radical to assert it")
+    n = len(i.variables)
+    if rank_at(jacobian(i), [Q(0)] * n) == n - 1:
         return SmoothModel((_identity_chart(i),))
     leaves: list[BlowupChart] = []
     identity = _identity_chart(i)
@@ -294,10 +296,14 @@ def _resolve_chart(
         _resolve_chart(moved.strict_ideal, moved, depth + 1, max_depth, leaves, original)
 
 
+def _algebra(i: IdealPresentation) -> ZeroDimAlgebra:
+    """Q[x]/i from one GREVLEX basis; the zero algebra when i is the unit ideal."""
+    return algebra_from_basis(i, groebner_basis(i))
+
+
 def _fiber_algebra(chart: BlowupChart) -> ZeroDimAlgebra:
     """Q[x]/(restricted fiber); the zero algebra when that fiber is empty."""
-    restricted = fiber_ideal(chart, dedup=True)
-    return algebra_from_basis(restricted, groebner_basis(restricted))
+    return _algebra(fiber_ideal(chart, dedup=True))
 
 
 def _singular_fiber(chart: BlowupChart, algebra: ZeroDimAlgebra) -> IdealPresentation | None:
@@ -326,27 +332,21 @@ def fiber_summary(model: SmoothModel) -> FiberSummary:
     Real and complex counts use the dedup-restricted fiber so every geometric
     point lands in exactly one chart; leaves from the resolution bring that
     fiber's algebra along, so it is built only for charts that lack one.
-    Non-reducedness is read off the full fiber scheme first (multiplicity is
-    intrinsic) and only then restricted.
+    Non-reducedness is read off the algebra of the full fiber scheme first
+    (multiplicity is intrinsic), as its ideal (I : radical(I)), and only then
+    restricted.  An empty fiber gives the zero algebra: reduced, no points.
     """
     real = complex_count = nonreduced_real = 0
     for chart in model.charts:
         algebra = chart.fiber_algebra
         if algebra is None:
             algebra = _fiber_algebra(chart)
-        if algebra.dimension:
-            counts = count_points(algebra)
-            real += counts.real_distinct
-            complex_count += counts.complex_distinct
-        full = fiber_ideal(chart, dedup=False)
-        if is_unit_ideal(full):
+        counts = count_points(algebra)
+        real += counts.real_distinct
+        complex_count += counts.complex_distinct
+        bad = nonreduced_ideal(_algebra(fiber_ideal(chart, dedup=False)))
+        if bad is None:
             continue
-        bad_part = nonreduced_locus(full)
-        if is_unit_ideal(bad_part):
-            continue
-        bad_restricted = ideal_sum(
-            bad_part, ideal(chart.chart_variables, chart.dedup_constraints)
-        )
-        if not is_unit_ideal(bad_restricted):
-            nonreduced_real += count_points(build(bad_restricted)).real_distinct
+        dedup = ideal(chart.chart_variables, chart.dedup_constraints)
+        nonreduced_real += count_points(_algebra(ideal_sum(bad, dedup))).real_distinct
     return FiberSummary(real, complex_count, nonreduced_real)

@@ -18,26 +18,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Sequence
 
 from .blowup import FiberSummary, SmoothModel, fiber_summary, resolve_curve
 from .errors import (
     DepthExceeded,
     IrrationalSingularFiberPoint,
+    NotACurve,
     PointNotOnVariety,
 )
-from .ideals import IdealPresentation, ideal, krull_dimension
+from .ideals import IdealPresentation, ideal
 from .singular import (
     USER_ASSERTED_RADICALITY,
     RadicalityCertificate,
     is_on_variety,
-    jacobian,
     radicality_certificate,
-    rank_at,
 )
-
-Q = Fraction
 
 
 class Verdict(Enum):
@@ -120,48 +116,37 @@ def classify_point(
                 ),
             )
 
-    dimension = krull_dimension(at_origin)
-    if dimension != 1:
-        return Classification(
-            Verdict.INCONCLUSIVE,
-            Certificate(
-                cert,
-                dimension,
-                False,
-                None,
-                None,
-                f"not a curve: the ideal has dimension {dimension}",
-            ),
-        )
-
-    n = len(at_origin.variables)
-    origin = [Q(0)] * n
-    if rank_at(jacobian(at_origin), origin) == n - 1:
-        return Classification(
-            Verdict.SMOOTH_MANIFOLD_POINT,
-            Certificate(cert, dimension, True, 0, None, "jacobian has full codimension rank"),
-        )
-
+    # resolve_curve checks the dimension once and takes the smooth shortcut
     try:
         model: SmoothModel = resolve_curve(
             at_origin, max_depth, certificate=cert, assume_radical=assume_radical
         )
+        if model.depth == 0:
+            return Classification(
+                Verdict.SMOOTH_MANIFOLD_POINT,
+                Certificate(cert, 1, True, 0, None, "jacobian has full codimension rank"),
+            )
         summary = fiber_summary(model)
+    except NotACurve as exc:
+        return Classification(
+            Verdict.INCONCLUSIVE,
+            Certificate(cert, exc.dimension, False, None, None, str(exc)),
+        )
     except DepthExceeded as exc:
         return Classification(
             Verdict.INCONCLUSIVE,
-            Certificate(cert, dimension, False, exc.max_depth, None, str(exc)),
+            Certificate(cert, 1, False, exc.max_depth, None, str(exc)),
         )
     except IrrationalSingularFiberPoint as exc:
         return Classification(
             Verdict.INCONCLUSIVE,
-            Certificate(cert, dimension, False, None, None, str(exc)),
+            Certificate(cert, 1, False, None, None, str(exc)),
         )
 
     verdict = decide_from_fiber(summary.real_points, summary.nonreduced_real_points)
     return Classification(
         verdict,
-        Certificate(cert, dimension, False, model.depth, summary, _explain(verdict, summary)),
+        Certificate(cert, 1, False, model.depth, summary, _explain(verdict, summary)),
     )
 
 

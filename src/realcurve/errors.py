@@ -48,7 +48,11 @@ class OriginNotOnVariety(RealCurveError):
 
 
 class NotACurve(RealCurveError):
-    """The ideal is not one-dimensional."""
+    """The ideal is not one-dimensional; carries the dimension it has."""
+
+    def __init__(self, dimension: int):
+        super().__init__(f"not a curve: the ideal has dimension {dimension}")
+        self.dimension = dimension
 
 
 class DepthExceeded(RealCurveError):

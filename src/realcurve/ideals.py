@@ -53,10 +53,6 @@ def groebner_basis(i: IdealPresentation, order: MonomialOrder = GREVLEX) -> Groe
     return buchberger(list(i.generators), order)
 
 
-def from_basis(i_vars: VariableSet, gb: GroebnerBasis) -> IdealPresentation:
-    return IdealPresentation(i_vars, tuple(gb.basis))
-
-
 def is_unit_ideal(i: IdealPresentation) -> bool:
     return groebner_basis(i).is_unit()
 
@@ -179,15 +175,21 @@ class SaturationResult:
 
 
 def saturate(i: IdealPresentation, j: IdealPresentation) -> SaturationResult:
-    """(i : j^∞) by iterating quotients until the chain stabilizes."""
+    """(i : j^∞) by iterating quotients until the chain stabilizes.
+
+    Each ideal of the chain is reduced to a basis once; that basis tests
+    the next quotient for stability and is returned with the limit.  Since
+    current ⊆ (current : j) always holds, stability is the reverse inclusion.
+    """
     current = i
+    basis = groebner_basis(current)
     steps = 0
     while True:
         nxt = quotient(current, j)
-        basis = groebner_basis(current)
-        if is_subideal(nxt, current, basis) and is_subideal(current, nxt):
+        if is_subideal(nxt, current, basis):
             return SaturationResult(current, steps, basis)
         current = nxt
+        basis = groebner_basis(current)
         steps += 1
 
 

@@ -323,44 +323,49 @@ class RationalMatrix:
             raise NotSquare("trace of a non-square matrix")
         return sum((self.at(i, i) for i in range(self.rows)), Q(0))
 
-    def rank(self) -> int:
-        """Exact rank by Gaussian elimination."""
+    def kernel(self) -> list[tuple[Fraction, ...]]:
+        """A basis of {v | M v = 0}, by exact Gauss-Jordan elimination.
+
+        One vector per non-pivot column c of the reduced row echelon form:
+        1 at c, minus column c of the pivot rows at their pivot columns.
+        """
         m = [list(self.row(i)) for i in range(self.rows)]
-        rank = 0
-        col = 0
-        while rank < self.rows and col < self.cols:
-            pivot = next((r for r in range(rank, self.rows) if m[r][col] != 0), None)
+        pivots: list[int] = []
+        for col in range(self.cols):
+            r = len(pivots)
+            pivot = next((k for k in range(r, self.rows) if m[k][col]), None)
             if pivot is None:
-                col += 1
                 continue
-            m[rank], m[pivot] = m[pivot], m[rank]
-            pv = m[rank][col]
-            for r in range(rank + 1, self.rows):
-                if m[r][col]:
-                    f = m[r][col] / pv
-                    for c in range(col, self.cols):
-                        m[r][c] -= f * m[rank][c]
-            rank += 1
-            col += 1
-        return rank
+            m[r], m[pivot] = m[pivot], m[r]
+            m[r] = [x / m[r][col] for x in m[r]]
+            for k in range(self.rows):
+                if k != r and m[k][col]:
+                    f = m[k][col]
+                    m[k] = [x - f * y for x, y in zip(m[k], m[r])]
+            pivots.append(col)
+        basis = []
+        for col in sorted(set(range(self.cols)) - set(pivots)):
+            v = [Q(0)] * self.cols
+            v[col] = Q(1)
+            for r, p in enumerate(pivots):
+                v[p] = -m[r][col]
+            basis.append(tuple(v))
+        return basis
+
+    def rank(self) -> int:
+        return self.cols - len(self.kernel())
 
     def inverse(self) -> "RationalMatrix":
         if not self.is_square():
             raise NotSquare("inverse of a non-square matrix")
+        # the kernel of [M | -I] is spanned by the columns (M^-1 e_j, e_j)
         n = self.rows
-        m = [list(self.row(i)) + [Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            m[col], m[pivot] = m[pivot], m[col]
-            pv = m[col][col]
-            m[col] = [x / pv for x in m[col]]
-            for r in range(n):
-                if r != col and m[r][col]:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        return RationalMatrix.from_rows([row[n:] for row in m])
+        augmented = [list(self.row(i)) + [-int(i == j) for j in range(n)] for i in range(n)]
+        kernel = RationalMatrix.from_rows(augmented).kernel()
+        inverse = RationalMatrix.from_rows([[v[i] for v in kernel] for i in range(n)])
+        if self * inverse != RationalMatrix.identity(n):
+            raise ValueError("matrix is singular")
+        return inverse
 
 
 def characteristic_polynomial(m: RationalMatrix) -> UnivariatePolynomial:

@@ -60,8 +60,9 @@ def halfbranch_count(
     """
     if not is_on_variety(i, point):
         raise PointNotOnVariety(f"point {tuple(point)} is not on V(I)")
-    if krull_dimension(i) != 1:
-        raise NotACurve("half-branch counting expects a curve")
+    dimension = krull_dimension(i)
+    if dimension != 1:
+        raise NotACurve(dimension)
     schedule = DEFAULT_RADII if radii is None else tuple(Q(r) for r in radii)
     previous: int | None = None
     for radius in schedule:

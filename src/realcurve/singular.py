@@ -190,7 +190,8 @@ def radicality_certificate(i: IdealPresentation) -> RadicalityCertificate:
         return UNKNOWN_RADICALITY
     dim = krull_dimension(i)
     if dim >= 0 and len(gens) == len(i.variables) - dim:
-        sing = singular_locus_ideal(i, assume_equidimensional=True)
+        # a complete intersection: its codimension is its generator count
+        sing = ideal_sum(i, minors_ideal(jacobian(i), len(gens)))
         sing_dim = krull_dimension(sing)
         if sing_dim < dim:
             return RadicalityCertificate(

@@ -9,10 +9,10 @@ ones, both computed exactly.  Any element acts on the algebra by its own
 multiplication matrix, so questions about the ideal some elements generate
 (is it the whole algebra?) become echelon-form linear algebra.
 
-The zero-dimensional radical is Seidenberg's: adjoin the squarefree part of
-the minimal polynomial of every coordinate.  The non-reduced locus is the
-quotient (I : radical(I)); its variety consists exactly of the points where
-the fiber scheme carries nilpotents.
+In characteristic 0 the nilradical N of A = Q[x]/I is the kernel of the trace
+form, so radical(I) is I plus the lifts of N, and the non-reduced locus
+(I : radical(I)) is I plus the lifts of the annihilator of N; its variety
+consists exactly of the points where the fiber scheme carries nilpotents.
 """
 
 from __future__ import annotations
@@ -27,19 +27,12 @@ from .errors import NotZeroDimensional
 from .groebner import GroebnerBasis, normal_form
 from .ideals import (
     IdealPresentation,
-    from_basis,
     groebner_basis,
     ideal,
     ideal_sum,
-    quotient,
+    quotient,  # unused here; bench/test_bench.py's binding-site test pins zerodim.quotient
 )
-from .linalg import (
-    RationalMatrix,
-    UnivariatePolynomial,
-    symmetric_signature,
-    squarefree_part_univariate,
-    upoly,
-)
+from .linalg import RationalMatrix, UnivariatePolynomial, symmetric_signature, upoly
 from .polynomials import GREVLEX, Exponent, Polynomial, monomial_divides
 
 Q = Fraction
@@ -71,9 +64,11 @@ class ZeroDimAlgebra:
     def element(self, m: RationalMatrix) -> Polynomial:
         """The normal-form polynomial whose multiplication matrix is m."""
         # basis[0] is the monomial 1, so column 0 holds the coordinates of m * 1
-        return Polynomial.from_terms(
-            self.ideal.variables, dict(zip(self.basis, m.entries[:: m.cols]))
-        )
+        return self.lift(m.entries[:: m.cols])
+
+    def lift(self, coordinates) -> Polynomial:
+        """The normal-form polynomial with these coordinates in the basis."""
+        return Polynomial.from_terms(self.ideal.variables, dict(zip(self.basis, coordinates)))
 
 
 def _standard_monomials(gb: GroebnerBasis, n: int) -> list[Exponent]:
@@ -265,30 +260,34 @@ def eliminant(algebra: ZeroDimAlgebra, var: int | str) -> UnivariatePolynomial:
     return minimal_polynomial(algebra.mult_matrices[i])
 
 
-def _lift_univariate(p: UnivariatePolynomial, variables, var: int) -> Polynomial:
-    terms = {}
-    n = len(variables)
-    for k, c in enumerate(p.coefficients):
-        if c:
-            e = [0] * n
-            e[var] = k
-            terms[tuple(e)] = c
-    return Polynomial.from_terms(variables, terms)
+def _with_lifts(algebra: ZeroDimAlgebra, vectors) -> IdealPresentation:
+    # the ideal of Q[x] whose image in A is spanned by the given elements
+    i = algebra.ideal
+    return ideal_sum(i, ideal(i.variables, (algebra.lift(v) for v in vectors)))
+
+
+def nonreduced_ideal(algebra: ZeroDimAlgebra) -> IdealPresentation | None:
+    """(I : radical(I)) as I plus the annihilator of the nilradical N of A.
+
+    The annihilator is the common kernel of the multiplication matrices of
+    a basis of N.  None when N = 0: A is reduced (the zero algebra of an
+    empty fiber included) and the quotient is the unit ideal.
+    """
+    nil = trace_form(algebra).kernel()
+    if not nil:
+        return None
+    d = algebra.dimension
+    stacked = tuple(x for n in nil for x in algebra.operator(algebra.lift(n)).entries)
+    return _with_lifts(algebra, RationalMatrix(len(nil) * d, d, stacked).kernel())
 
 
 def zerodim_radical(i: IdealPresentation) -> IdealPresentation:
-    """Radical of a zero-dimensional ideal (Seidenberg's lemma).
+    """I plus the nilradical of A = Q[x]/I, the kernel of the trace form.
 
-    Adjoin the squarefree part of every coordinate eliminant and re-base to a
-    Groebner basis; the result is radical with the same complex points.
+    Raises NotZeroDimensional, through build, unless i is zero-dimensional.
     """
     algebra = build(i)
-    extra = []
-    for var in range(len(i.variables)):
-        m = eliminant(algebra, var)
-        extra.append(_lift_univariate(squarefree_part_univariate(m), i.variables, var))
-    enlarged = ideal_sum(i, ideal(i.variables, extra))
-    return from_basis(i.variables, groebner_basis(enlarged))
+    return _with_lifts(algebra, trace_form(algebra).kernel())
 
 
 def nonreduced_locus(i: IdealPresentation) -> IdealPresentation:
@@ -296,7 +295,8 @@ def nonreduced_locus(i: IdealPresentation) -> IdealPresentation:
 
     Raises NotZeroDimensional, through build, unless i is zero-dimensional.
     """
-    return quotient(i, zerodim_radical(i))
+    locus = nonreduced_ideal(build(i))
+    return ideal(i.variables, (Polynomial.one(i.variables),)) if locus is None else locus
 
 
 # ---------------------------------------------------------------------------

@@ -375,3 +375,95 @@ def test_strict_transform_basis_comes_from_saturation_only(monkeypatch):
     for chart, _ in visited:
         assert chart.strict_basis is not None
         assert outside[chart.strict_ideal.generators, "grevlex"] == 0
+
+
+# ---------------------------------------------------------------------------
+# the non-reduced locus read off the full fiber algebra
+
+
+def _seidenberg_radical(i):
+    # reference radical: adjoin the squarefree part of every coordinate eliminant
+    from realcurve import Polynomial, build, eliminant, ideal_sum
+    from realcurve.linalg import squarefree_part_univariate
+
+    algebra = build(i)
+    n = len(i.variables)
+    extra = []
+    for var in range(n):
+        part = squarefree_part_univariate(eliminant(algebra, var))
+        exponents = (tuple(k if j == var else 0 for j in range(n)) for k in range(part.degree + 1))
+        extra.append(Polynomial.from_terms(i.variables, dict(zip(exponents, part.coefficients))))
+    return ideal_sum(i, ideal(i.variables, extra))
+
+
+def _summarized_models(monkeypatch, run):
+    """Run `run` and return every model handed to fiber_summary."""
+    from realcurve import decide
+
+    models = []
+    original = decide.fiber_summary
+
+    def recording(model):
+        models.append(model)
+        return original(model)
+
+    with monkeypatch.context() as m:
+        m.setattr(decide, "fiber_summary", recording)
+        run()
+    return models
+
+
+def _germ_run(text):
+    from realcurve import classify_point
+
+    germ = make_ideal("x,y", text)
+    return lambda: classify_point(germ, [0, 0])
+
+
+# plane germs whose resolutions end on non-reduced fibers
+NONREDUCED_GERMS = [
+    (f"germ:{text}", _germ_run(text))
+    for text in ("y^3 - x^10", "(y^2 - x^3)*((y - x)^2 - x^4)", "(y^2 - x^5)*(y^2 + x^2)")
+]
+NILRADICAL_RUNS = AGREEMENT_RUNS + NONREDUCED_GERMS
+
+
+@pytest.mark.parametrize("label, run", NILRADICAL_RUNS, ids=[lbl for lbl, _ in NILRADICAL_RUNS])
+def test_nilradical_locus_agrees_with_seidenberg_quotient(monkeypatch, label, run):
+    from realcurve import nonreduced_locus, zerodim_radical
+
+    models = _summarized_models(monkeypatch, run)
+    fibers = [fiber_ideal(chart, dedup=False) for model in models for chart in model.charts]
+    fibers = [full for full in fibers if not is_unit_ideal(full)]
+    assert fibers
+    nonreduced = 0
+    for full in fibers:
+        radical = _seidenberg_radical(full)
+        assert ideal_equal(zerodim_radical(full), radical)
+        locus = nonreduced_locus(full)
+        assert ideal_equal(locus, quotient(full, radical))
+        nonreduced += not is_unit_ideal(locus)
+    if label in ("golden:c3_cusp_chain", "tacnode-chain") or label.startswith("germ:"):
+        assert nonreduced
+
+
+def test_fiber_summary_reduces_each_full_fiber_once(monkeypatch):
+    from collections import Counter
+
+    import realcurve.ideals as ideals_module
+
+    model = resolve_curve(make_ideal("x,y", "(y^2 - x^3)*((y - x)^2 - x^4)"))
+    calls = Counter()
+    original = ideals_module.buchberger
+
+    def counting(gens, order):
+        calls[tuple(gens), str(order)] += 1
+        return original(gens, order)
+
+    monkeypatch.setattr(ideals_module, "buchberger", counting)
+    summary = fiber_summary(model)
+    assert summary.nonreduced_real_points >= 1
+    assert {order for _, order in calls} == {"grevlex"}
+    fulls = Counter(fiber_ideal(chart, dedup=False).generators for chart in model.charts)
+    for gens, leaves in fulls.items():
+        assert calls[gens, "grevlex"] == leaves

@@ -127,3 +127,36 @@ def test_translation_invariance(node):
     b = classify_point(shifted, [Q(1, 2), Q(-3)])
     assert a.verdict is b.verdict
     assert a.certificate.fiber == b.certificate.fiber
+
+
+@pytest.mark.parametrize("case, most", [("fourbar", 2), ("germ", 1)])
+def test_dimension_of_the_moved_ideal_is_computed_once(monkeypatch, case, most):
+    # radicality (complete intersections only) and resolve_curve each reduce
+    # the ideal at the origin once; nothing else runs Buchberger on it
+    import realcurve.ideals as ideals_module
+    from realcurve import FourBarParams, fourbar_ideal, grashof_singular_point
+
+    if case == "fourbar":
+        params = FourBarParams.of(Q(7, 3), Q(5, 4))
+        i, point = fourbar_ideal(params), grashof_singular_point(params)
+    else:
+        i, point = make_ideal("x,y", "(y^2 - x^3)*((y - x)^2 - x^4)"), [0, 0]
+    moved = translate_ideal(i, point).generators
+    calls = []
+    original = ideals_module.buchberger
+
+    def counting(gens, order):
+        calls.append(tuple(gens) == moved)
+        return original(gens, order)
+
+    monkeypatch.setattr(ideals_module, "buchberger", counting)
+    c = classify_point(i, point)
+    assert c.certificate.dimension == 1 and c.certificate.blowup_depth >= 1
+    assert 1 <= sum(calls) <= most
+
+
+def test_non_curves_report_their_dimension():
+    c = classify_point(make_ideal("x,y,z", "x", "y", "z"), [0, 0, 0])
+    assert c.verdict is Verdict.INCONCLUSIVE
+    assert c.certificate.dimension == 0
+    assert c.certificate.reason_text == "not a curve: the ideal has dimension 0"

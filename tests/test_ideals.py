@@ -151,3 +151,22 @@ def test_basis_dimension_matches_krull_dimension():
     for gens in (("y^2 - x^3",), ("x", "y"), ("x", "x - 1"), ("x*y",), ("0",)):
         i = make_ideal("x,y", *gens)
         assert basis_dimension(groebner_basis(i), 2) == krull_dimension(i)
+
+
+def test_saturate_reduces_each_ideal_of_the_chain_once(monkeypatch):
+    # grevlex bases only: the quotients inside run their own elimination bases
+    import realcurve.ideals as ideals_module
+
+    orders = []
+    original = ideals_module.buchberger
+
+    def counting(gens, order):
+        orders.append(str(order))
+        return original(gens, order)
+
+    monkeypatch.setattr(ideals_module, "buchberger", counting)
+    for gens, expected in ((("t^2x", "t^3y"), 3), (("x^2", "xy"), 0)):
+        orders.clear()
+        res = saturate(make_ideal("t,x,y", *gens), make_ideal("t,x,y", "t"))
+        assert res.iterations == expected
+        assert orders.count("grevlex") == res.iterations + 1

@@ -154,3 +154,32 @@ def test_matrix_sum_difference_and_negation():
     assert -a + a == RationalMatrix.zero(2, 2)
     with pytest.raises(ValueError):
         a + RationalMatrix.zero(2, 3)
+
+
+def test_kernel_of_zero_matrix_is_everything():
+    kernel = RationalMatrix.zero(2, 3).kernel()
+    assert kernel == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert RationalMatrix.zero(2, 3).rank() == 0
+
+
+def test_kernel_of_full_rank_matrix_is_trivial():
+    m = RationalMatrix.from_rows([[2, 1], [1, 1]])
+    assert m.kernel() == []
+    assert m.rank() == 2
+
+
+def test_kernel_of_rank_deficient_matrix():
+    m = RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 0, Q(1, 2)]])
+    kernel = m.kernel()
+    assert len(kernel) == 1 and m.rank() == 2
+    (v,) = kernel
+    assert any(v)
+    assert all(sum(a * b for a, b in zip(m.row(i), v)) == 0 for i in range(3))
+
+
+def test_inverse_rejects_singular_matrices():
+    m = RationalMatrix.from_rows([[1, 2], [2, 4]])
+    with pytest.raises(ValueError):
+        m.inverse()
+    inv = RationalMatrix.from_rows([[Q(1, 3), 2], [0, -1]]).inverse()
+    assert inv == RationalMatrix.from_rows([[3, 6], [0, -1]])
