@@ -1,11 +1,11 @@
 """Multivariate division and Buchberger's algorithm.
 
-The reduction core works fraction-free: polynomials are scaled to primitive
-integer coefficient dictionaries and every reduction step multiplies the work
-polynomial by the smallest positive integer that keeps coefficients integral.
-The accumulated multiplier is tracked so public entry points can return exact
-rational normal forms, while the Buchberger loop simply strips content (it
-only cares about ideal membership up to units).
+The reduction core works fraction-free on the primitive integer terms every
+Polynomial already stores, so no input is rescaled: each reduction step
+multiplies the work polynomial by the smallest positive integer that keeps
+coefficients integral.  The accumulated multiplier goes into the content of
+the normal form, which is therefore exact, while the Buchberger loop simply
+strips content (it only cares about ideal membership up to units).
 
 Pair selection follows the normal strategy: the pending pair with the
 smallest lcm (by degree, then by the active order, then by generator indices)
@@ -50,26 +50,8 @@ def set_self_check(enabled: bool) -> None:
 IPoly = dict  # Exponent -> int, content-free where noted
 
 
-def _int_terms(f: Polynomial) -> tuple[IPoly, Fraction]:
-    """Scale f to integer coefficients: f == scale * (returned dict)."""
-    den = 1
-    for c in f.terms.values():
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    num = 0
-    scaled = {}
-    for e, c in f.terms.items():
-        v = c.numerator * (den // c.denominator)
-        scaled[e] = v
-        num = int_gcd(num, v)
-    if num > 1:
-        scaled = {e: v // num for e, v in scaled.items()}
-    return scaled, Q(num if num else 1, den)
-
-
 def _strip_content(p: IPoly) -> IPoly:
-    g = 0
-    for v in p.values():
-        g = int_gcd(g, v)
+    g = int_gcd(*p.values())
     if g > 1:
         return {e: v // g for e, v in p.items()}
     return dict(p)
@@ -208,7 +190,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Gr
     keyf = order.key
 
     red = _Reducer(keyf)
-    seeds = sorted((_int_terms(f)[0] for f in nonzero), key=lambda p: keyf(max(p, key=keyf)))
+    seeds = sorted((f.terms for f in nonzero), key=lambda p: keyf(max(p, key=keyf)))
     for p in seeds:
         r, _ = red.reduce(p)
         if not r:
@@ -284,10 +266,7 @@ def _reduce_basis(red: _Reducer, vars: VariableSet, order: MonomialOrder) -> lis
             if u != t:
                 others.push(red.polys[u])
         r, _ = others.reduce(red.polys[t]) if others.polys else (dict(red.polys[t]), 1)
-        r = _strip_content(r)
-        lm = max(r, key=keyf)
-        lc = r[lm]
-        out.append(Polynomial.from_terms(vars, {e: Q(v, lc) for e, v in r.items()}))
+        out.append(Polynomial(vars, r, Q(1, r[max(r, key=keyf)])))
     out.sort(key=lambda g: keyf(g.leading_monomial(order)), reverse=True)
     return out
 
@@ -312,11 +291,9 @@ def normal_form(
         return f
     red = _Reducer(order.key)
     for g in ds:
-        red.push(_int_terms(g)[0])
-    p, scale = _int_terms(f)
-    rem, mult = red.reduce(p)
-    factor = scale / mult
-    return Polynomial.from_terms(f.vars, {e: v * factor for e, v in rem.items()})
+        red.push(g.terms)
+    rem, mult = red.reduce(f.terms)
+    return Polynomial(f.vars, rem, f.content / mult)
 
 
 def ideal_membership(f: Polynomial, ideal, order: MonomialOrder = GREVLEX) -> bool:
@@ -343,11 +320,9 @@ def is_groebner_basis(basis: Sequence[Polynomial], order: MonomialOrder) -> bool
     if not polys:
         return True
     red = _Reducer(order.key)
-    ints = []
     for g in polys:
-        p = _int_terms(g)[0]
-        ints.append(p)
-        red.push(p)
+        red.push(g.terms)
+    ints = red.polys
     for i in range(len(ints)):
         for j in range(i + 1, len(ints)):
             s = _spoly(ints[i], red.lms[i], ints[j], red.lms[j])

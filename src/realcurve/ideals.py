@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import ZeroPolynomial
-from .groebner import GroebnerBasis, buchberger, normal_form
+from .groebner import GroebnerBasis, buchberger, ideal_membership
 from .polynomials import (
     GREVLEX,
     MonomialOrder,
@@ -57,23 +57,13 @@ def is_unit_ideal(i: IdealPresentation) -> bool:
     return groebner_basis(i).is_unit()
 
 
-def contains(i: IdealPresentation, f: Polynomial, gb: GroebnerBasis | None = None) -> bool:
-    if f.is_zero():
-        return True
-    if gb is None:
-        gb = groebner_basis(i)
-    if gb.is_zero_ideal():
-        return False
-    return normal_form(f, gb).is_zero()
-
-
 def is_subideal(
     a: IdealPresentation, b: IdealPresentation, gb: GroebnerBasis | None = None
 ) -> bool:
     """True when every generator of a lies in b."""
     if gb is None:
         gb = groebner_basis(b)
-    return all(contains(b, g, gb) for g in a.generators)
+    return all(ideal_membership(g, gb) for g in a.generators)
 
 
 def ideal_equal(a: IdealPresentation, b: IdealPresentation) -> bool:
@@ -98,11 +88,11 @@ def _fresh_name(base: str, taken: Sequence[str]) -> str:
 
 
 def _prepend_variable(f: Polynomial, extended: VariableSet) -> Polynomial:
-    return Polynomial.from_terms(extended, {(0,) + e: c for e, c in f.terms.items()})
+    return Polynomial(extended, {(0,) + e: c for e, c in f.terms.items()}, f.content)
 
 
 def _drop_first_variables(f: Polynomial, k: int, reduced: VariableSet) -> Polynomial:
-    return Polynomial.from_terms(reduced, {e[k:]: c for e, c in f.terms.items()})
+    return Polynomial(reduced, {e[k:]: c for e, c in f.terms.items()}, f.content)
 
 
 def eliminate(i: IdealPresentation, k: int) -> IdealPresentation:

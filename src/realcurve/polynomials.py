@@ -1,10 +1,16 @@
 """Multivariate polynomials over the rationals.
 
-Representation: a polynomial is a mapping from exponent tuples to nonzero
-Fraction coefficients, together with the VariableSet that fixes which position
-of the tuple belongs to which variable.  Exponent tuples are dense (one entry
-per variable); at the variable counts handled here (n <= ~20) this is simpler
-and faster than sparse pairs and gives deterministic iteration.
+Representation: a polynomial is content * (primitive integer polynomial).
+The integer part maps exponent tuples to nonzero ints whose gcd is 1 and
+carries the signs; the content is one positive Fraction (0 for the zero
+polynomial).  Every polynomial is kept in this form, so equal polynomials
+have equal terms and content, arithmetic runs on Python ints with a few
+rational operations per polynomial instead of one per term, and the
+Groebner engine reduces the terms as they are.  A VariableSet fixes which
+position of an exponent tuple belongs to which variable.  Exponent tuples
+are dense (one entry per variable); at the variable counts handled here
+(n <= ~20) this is simpler and faster than sparse pairs and gives
+deterministic iteration.
 
 Monomial orders are separate context objects, not baked into polynomial
 values, so one polynomial can be ranked under several orders during a single
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, prod
 from typing import Mapping, Sequence
 
 from .errors import VariableSetMismatch, ZeroPolynomial
@@ -125,14 +131,49 @@ def monomial_degree(e: Exponent) -> int:
 # polynomials
 
 
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Product of two integer term dictionaries."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict[Exponent, int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            s = out.get(e, 0) + ca * cb
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
 class Polynomial:
-    """Immutable-by-convention sparse polynomial over Q."""
+    """Immutable-by-convention sparse polynomial over Q: content * terms.
 
-    __slots__ = ("vars", "terms")
+    terms maps exponent tuples to nonzero ints with gcd 1 (the sign lives in
+    the terms) and content is a positive Fraction, 0 for the zero polynomial,
+    so equal polynomials have equal terms and content.
+    """
 
-    def __init__(self, vars: VariableSet, terms: Mapping[Exponent, Fraction]):
+    __slots__ = ("vars", "terms", "content")
+
+    def __init__(self, vars: VariableSet, terms: dict[Exponent, int], content=1):
+        """Normalise nonzero integer terms times a nonzero rational content.
+
+        The gcd of the terms, signed to make the content positive, moves
+        into the content.  The dict is taken over, not copied.
+        """
         self.vars = vars
-        self.terms = dict(terms)
+        if not terms:
+            self.terms, self.content = terms, Q(0)
+            return
+        g = int_gcd(*terms.values())
+        if content < 0:
+            g = -g
+        if g != 1:
+            terms = {e: c // g for e, c in terms.items()}
+            content *= g
+        self.terms, self.content = terms, _as_fraction(content)
 
     # -- constructors -------------------------------------------------------
 
@@ -143,9 +184,7 @@ class Polynomial:
     @staticmethod
     def constant(vars: VariableSet, c) -> "Polynomial":
         c = _as_fraction(c)
-        if c == 0:
-            return Polynomial(vars, {})
-        return Polynomial(vars, {(0,) * len(vars): c})
+        return Polynomial(vars, {(0,) * len(vars): 1} if c else {}, c)
 
     @staticmethod
     def one(vars: VariableSet) -> "Polynomial":
@@ -156,16 +195,17 @@ class Polynomial:
         i = vars.index(which) if isinstance(which, str) else which
         e = [0] * len(vars)
         e[i] = 1
-        return Polynomial(vars, {tuple(e): Q(1)})
+        return Polynomial(vars, {tuple(e): 1})
 
     @staticmethod
     def from_terms(vars: VariableSet, terms: Mapping[Exponent, object]) -> "Polynomial":
-        out: dict[Exponent, Fraction] = {}
-        for e, c in terms.items():
-            c = _as_fraction(c)
-            if c != 0:
-                out[tuple(e)] = c
-        return Polynomial(vars, out)
+        """The polynomial with these rational coefficients; zeros are dropped."""
+        coeffs = {tuple(e): q for e, c in terms.items() if (q := _as_fraction(c))}
+        den = 1
+        for c in coeffs.values():
+            den = den * c.denominator // int_gcd(den, c.denominator)
+        ints = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
+        return Polynomial(vars, ints, Q(1, den))
 
     # -- basic queries -------------------------------------------------------
 
@@ -176,7 +216,7 @@ class Polynomial:
         return all(monomial_degree(e) == 0 for e in self.terms)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Q(0))
+        return self.content * self.terms.get((0,) * len(self.vars), 0)
 
     def degree_in(self, var: int) -> int:
         if not self.terms:
@@ -189,10 +229,15 @@ class Polynomial:
         return max(self.terms, key=order.key)
 
     def leading_coefficient(self, order: MonomialOrder) -> Fraction:
-        return self.terms[self.leading_monomial(order)]
+        return self.content * self.terms[self.leading_monomial(order)]
 
     def sorted_terms(self, order: MonomialOrder) -> list[tuple[Exponent, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+        c = self.content
+        return sorted(
+            ((e, c * k) for e, k in self.terms.items()),
+            key=lambda t: order.key(t[0]),
+            reverse=True,
+        )
 
     def _check_same_ring(self, other: "Polynomial"):
         if self.vars != other.vars:
@@ -202,103 +247,96 @@ class Polynomial:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        # self + sign * other = (content / q) * (q * terms + p * other.terms)
+        # with p / q = sign * other.content / self.content in lowest terms
         self._check_same_ring(other)
-        out = dict(self.terms)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other if sign > 0 else -other
+        ratio = other.content / self.content
+        p, q = sign * ratio.numerator, ratio.denominator
+        out = {e: q * c for e, c in self.terms.items()} if q != 1 else dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, 0) + c
+            s = out.get(e, 0) + p * c
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return Polynomial(self.vars, out)
+        return Polynomial(self.vars, out, self.content / q)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.vars, {e: -c for e, c in self.terms.items()})
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_same_ring(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) - c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Polynomial(self.vars, out)
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "Polynomial":
+        return Polynomial(self.vars, {e: -c for e, c in self.terms.items()}, self.content)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_same_ring(other)
         if not self.terms or not other.terms:
-            return Polynomial(self.vars, {})
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[Exponent, Fraction] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Polynomial(self.vars, out)
+            return Polynomial.zero(self.vars)
+        return Polynomial(
+            self.vars, _mul_terms(self.terms, other.terms), self.content * other.content
+        )
 
     def scale(self, c) -> "Polynomial":
         c = _as_fraction(c)
-        if c == 0:
-            return Polynomial(self.vars, {})
-        return Polynomial(self.vars, {e: k * c for e, k in self.terms.items()})
+        if c == 0 or not self.terms:
+            return Polynomial.zero(self.vars)
+        return Polynomial(self.vars, self.terms, self.content * c)
 
-    def mul_monomial(self, e: Exponent, c=1) -> "Polynomial":
-        c = _as_fraction(c)
-        if c == 0:
-            return Polynomial(self.vars, {})
+    def mul_monomial(self, e: Exponent) -> "Polynomial":
         return Polynomial(
             self.vars,
-            {tuple(x + y for x, y in zip(t, e)): k * c for t, k in self.terms.items()},
+            {tuple(x + y for x, y in zip(t, e)): k for t, k in self.terms.items()},
+            self.content,
         )
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.one(self.vars)
-        base = self
+        content = self.content**n
+        result = {(0,) * len(self.vars): 1}
+        base = self.terms
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = _mul_terms(result, base)
+            base = _mul_terms(base, base) if n > 1 else base
             n >>= 1
-        return result
+        return Polynomial(self.vars, result, content)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
             and self.vars == other.vars
+            and self.content == other.content
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self.content, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         from .parsing import polynomial_to_string
 
         return f"<{polynomial_to_string(self)}>"
 
-    # -- calculus and substitution -------------------------------------------
+    # -- calculus and translation --------------------------------------------
 
     def partial_derivative(self, var: int | str) -> "Polynomial":
         i = self.vars.index(var) if isinstance(var, str) else var
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, int] = {}
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
             d = list(e)
             d[i] -= 1
             out[tuple(d)] = c * e[i]
-        return Polynomial(self.vars, out)
+        return Polynomial(self.vars, out, self.content)
 
     def evaluate(self, point: Sequence) -> Fraction:
         coords = [_as_fraction(x) for x in point]
@@ -311,81 +349,34 @@ class Polynomial:
                 if k:
                     v *= x**k
             total += v
-        return total
-
-    def substitute(self, images: Mapping[int | str, "Polynomial"]) -> "Polynomial":
-        """Simultaneous substitution var -> polynomial.
-
-        Unmentioned variables are kept, which requires every image (and the
-        result) to live in the same ring as self.
-        """
-        imgs: dict[int, Polynomial] = {}
-        for which, g in images.items():
-            i = self.vars.index(which) if isinstance(which, str) else which
-            self._check_same_ring(g)
-            imgs[i] = g
-        pow_cache: dict[tuple[int, int], Polynomial] = {}
-
-        def power(i: int, k: int) -> Polynomial:
-            got = pow_cache.get((i, k))
-            if got is None:
-                got = imgs[i] ** k
-                pow_cache[(i, k)] = got
-            return got
-
-        result = Polynomial.zero(self.vars)
-        for e, c in self.terms.items():
-            passthrough = list(e)
-            factor = Polynomial.constant(self.vars, c)
-            for i in imgs:
-                if e[i]:
-                    passthrough[i] = 0
-                    factor = factor * power(i, e[i])
-            term = factor.mul_monomial(tuple(passthrough))
-            result = result + term
-        return result
+        return self.content * total
 
     def translate(self, point: Sequence) -> "Polynomial":
         """Return f(x + p); translating back by -p restores f."""
         coords = [_as_fraction(x) for x in point]
         if len(coords) != len(self.vars):
             raise VariableSetMismatch("point length does not match variable count")
-        images = {
-            i: Polynomial.variable(self.vars, i)
-            + Polynomial.constant(self.vars, coords[i])
-            for i in range(len(self.vars))
-            if coords[i] != 0
-        }
-        if not images:
+        if not any(coords):
             return self
-        return self.substitute(images)
+        images = [
+            Polynomial.variable(self.vars, i) + Polynomial.constant(self.vars, c)
+            for i, c in enumerate(coords)
+        ]
+        return ring_map(self, self.vars, images)
 
-    # -- content and normal forms ---------------------------------------------
-
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integer-coprime; 0 for the zero poly."""
-        if not self.terms:
-            return Q(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = int_gcd(num, c.numerator)
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        return Q(num, den)
+    # -- normal forms ----------------------------------------------------------
 
     def primitive(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
-        """Strip content and normalize the sign of the leading coefficient."""
+        """Drop the content and make the leading coefficient positive."""
         if not self.terms:
             return self
-        c = self.content()
-        if self.leading_coefficient(order) < 0:
-            c = -c
-        return self.scale(1 / c)
+        lc = self.terms[self.leading_monomial(order)]
+        return Polynomial(self.vars, self.terms, 1 if lc > 0 else -1)
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
         if not self.terms:
             return self
-        return self.scale(1 / self.leading_coefficient(order))
+        return Polynomial(self.vars, self.terms, Q(1, self.terms[self.leading_monomial(order)]))
 
 
 # ---------------------------------------------------------------------------
@@ -398,30 +389,40 @@ def ring_map(
     """Apply the ring homomorphism sending variable i of f to images[i].
 
     All images must live in the target ring.  This is the workhorse behind
-    blow-up chart substitutions, pullback composition, and variable renaming.
+    blow-up chart substitutions, translations, pullback composition, and
+    variable renaming.  With images[i] = (n_i / d_i) * P_i, scaling by the
+    product of d_i^(degree of f in variable i) keeps every coefficient of
+    the expansion an integer.
     """
     if len(images) != len(f.vars):
         raise VariableSetMismatch("one image per source variable required")
     for g in images:
         if g.vars != target:
             raise VariableSetMismatch("image lives outside the target ring")
-    pow_cache: dict[tuple[int, int], Polynomial] = {}
+    tops = [max(f.degree_in(i), 0) for i in range(len(images))]
+    nums = [g.content.numerator for g in images]
+    dens = [g.content.denominator for g in images]
+    pow_cache: dict[tuple[int, int], dict] = {}
 
-    def power(i: int, k: int) -> Polynomial:
+    def power(i: int, k: int) -> dict:
         got = pow_cache.get((i, k))
         if got is None:
-            got = images[i] ** k
+            got = (images[i] ** k).terms
             pow_cache[(i, k)] = got
         return got
 
-    result = Polynomial.zero(target)
+    out: dict[Exponent, int] = {}
     for e, c in f.terms.items():
-        term = Polynomial.constant(target, c)
+        product = {(0,) * len(target): 1}
         for i, k in enumerate(e):
+            c *= dens[i] ** (tops[i] - k)
             if k:
-                term = term * power(i, k)
-        result = result + term
-    return result
+                c *= nums[i] ** k
+                product = _mul_terms(product, power(i, k))
+        for te, tc in product.items():
+            out[te] = out.get(te, 0) + c * tc
+    den = prod(d**k for d, k in zip(dens, tops))
+    return Polynomial(target, {e: c for e, c in out.items() if c}, f.content / den)
 
 
 def rename_variables(f: Polynomial, target: VariableSet) -> Polynomial:
@@ -431,19 +432,24 @@ def rename_variables(f: Polynomial, target: VariableSet) -> Polynomial:
 
 
 def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
-    """Quotient f/g when g divides f exactly; raises ValueError otherwise."""
+    """Quotient f/g when g divides f exactly; raises ValueError otherwise.
+
+    Divides the primitive integer terms: by Gauss's lemma their exact
+    quotient is integral, so a leading coefficient that does not divide
+    already proves the division inexact.
+    """
     if g.is_zero():
         raise ZeroPolynomial("division by zero polynomial")
     f._check_same_ring(g)
-    quotient: dict[Exponent, Fraction] = {}
+    quotient: dict[Exponent, int] = {}
     rest = dict(f.terms)
     lm = g.leading_monomial(order)
     lc = g.terms[lm]
     while rest:
         e = max(rest, key=order.key)
-        if not monomial_divides(lm, e):
+        c, r = divmod(rest[e], lc)
+        if r or not monomial_divides(lm, e):
             raise ValueError("not an exact polynomial division")
-        c = rest[e] / lc
         d = monomial_div(e, lm)
         quotient[d] = c
         for te, tc in g.terms.items():
@@ -453,18 +459,18 @@ def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -
                 rest[k] = s
             else:
                 rest.pop(k, None)
-    return Polynomial(f.vars, quotient)
+    return Polynomial(f.vars, quotient, f.content / g.content)
 
 
 def _coefficients_in(f: Polynomial, var: int) -> dict[int, Polynomial]:
     """View f as univariate in var with polynomial coefficients."""
-    out: dict[int, dict[Exponent, Fraction]] = {}
+    out: dict[int, dict[Exponent, int]] = {}
     for e, c in f.terms.items():
         d = e[var]
         stripped = list(e)
         stripped[var] = 0
         out.setdefault(d, {})[tuple(stripped)] = c
-    return {d: Polynomial(f.vars, t) for d, t in out.items()}
+    return {d: Polynomial(f.vars, t, f.content) for d, t in out.items()}
 
 
 def _active_vars(f: Polynomial) -> set[int]:

@@ -96,9 +96,9 @@ def _operator(gb: GroebnerBasis, basis: tuple[Exponent, ...], f: Polynomial) -> 
     d = len(basis)
     entries = [Q(0)] * (d * d)
     for j, e in enumerate(basis):
-        shifted = f * Polynomial.from_terms(f.vars, {e: 1})
-        for te, tc in normal_form(shifted, gb).terms.items():
-            entries[index[te] * d + j] = tc
+        nf = normal_form(f.mul_monomial(e), gb)
+        for te, tc in nf.terms.items():
+            entries[index[te] * d + j] = nf.content * tc
     return RationalMatrix(d, d, tuple(entries))
 
 
@@ -198,7 +198,7 @@ def trace_form(algebra: ZeroDimAlgebra) -> RationalMatrix:
             return got
         mono = Polynomial.from_terms(algebra.ideal.variables, {e: 1})
         nf = normal_form(mono, algebra.gb)
-        val = sum((c * traces[te] for te, c in nf.terms.items()), Q(0))
+        val = nf.content * sum(c * traces[te] for te, c in nf.terms.items())
         nf_cache[e] = val
         return val
 

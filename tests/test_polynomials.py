@@ -1,7 +1,8 @@
-"""Polynomial ring arithmetic, orders, substitution, gcd."""
+"""Polynomial ring arithmetic, orders, ring maps, gcd."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from realcurve import (
     block_order,
     multivariate_gcd,
     rename_variables,
+    ring_map,
     squarefree_part,
 )
 from realcurve.errors import VariableSetMismatch
@@ -84,18 +86,18 @@ def test_substitute_blowup_chart():
     f = poly("y^2 - x^2 - x^3")
     x = poly("x")
     y = poly("y")
-    assert f.substitute({"y": x * y}) == poly("x^2y^2 - x^2 - x^3")
+    assert ring_map(f, f.vars, [x, x * y]) == poly("x^2y^2 - x^2 - x^3")
 
 
 def test_substitute_identity():
     f = poly("y^2 - x^2 - x^3")
-    assert f.substitute({"x": poly("x"), "y": poly("y")}) == f
+    assert ring_map(f, f.vars, [poly("x"), poly("y")]) == f
 
 
 def test_substitute_chart_instance():
     # x^2+y^2+3x under x -> y*xh, y -> y factors as y * (y xh^2 + y + 3 xh)
     f = poly("x^2 + y^2 + 3x")
-    sub = f.substitute({"x": poly("yx")})  # reuse x as the hat variable
+    sub = ring_map(f, f.vars, [poly("yx"), poly("y")])  # reuse x as the hat variable
     assert sub == poly("y^2x^2 + y^2 + 3yx")
     assert sub == poly("y") * poly("yx^2 + y + 3x")
 
@@ -212,3 +214,157 @@ def test_rename_variables_permutes():
     assert g == poly("x^2 - y", "y,x")
     # under lex with y first, the linear y term now leads
     assert g.leading_monomial(LEX) == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# content * primitive integer terms, against a Fraction-dict reference
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_pow(a, n, one):
+    out = one
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_ring_map(a, images, one):
+    out = {}
+    for e, c in a.items():
+        term = {k: c * v for k, v in one.items()}
+        for img, k in zip(images, e):
+            term = _ref_mul(term, _ref_pow(img, k, one))
+        out = _ref_add(out, term)
+    return out
+
+
+def _coefficients(p):
+    return dict(p.sorted_terms(GREVLEX))
+
+
+def _assert_canonical(p):
+    if p.is_zero():
+        assert p.content == 0 and not p.terms
+        return
+    assert p.content > 0
+    assert all(isinstance(c, int) and c for c in p.terms.values())
+    assert math.gcd(*p.terms.values()) == 1
+
+
+def _rand_coeffs(rng, n):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        e = tuple(rng.randint(0, 2) for _ in range(n))
+        terms[e] = Q(rng.randint(-9, 9), rng.randint(1, 6))
+    return {e: c for e, c in terms.items() if c}
+
+
+def test_arithmetic_agrees_with_fraction_reference():
+    rng = random.Random(41)
+    for n in (2, 3, 4):
+        vs = varset(",".join("xyzw"[:n]))
+        zero_e = (0,) * n
+        one = {zero_e: Q(1)}
+        for _ in range(15):
+            ra, rb = _rand_coeffs(rng, n), _rand_coeffs(rng, n)
+            a, b = Polynomial.from_terms(vs, ra), Polynomial.from_terms(vs, rb)
+            c = Q(rng.randint(-5, 5), rng.randint(1, 4))
+            k = rng.randint(0, 3)
+            point = [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            results = {
+                "add": (a + b, _ref_add(ra, rb)),
+                "sub": (a - b, _ref_add(ra, rb, -1)),
+                "neg": (-a, _ref_add({}, ra, -1)),
+                "mul": (a * b, _ref_mul(ra, rb)),
+                "pow": (a**k, _ref_pow(ra, k, one)),
+                "scale": (a.scale(c), {e: c * v for e, v in ra.items() if c}),
+            }
+            for var in range(n):
+                ref = {}
+                for e, v in ra.items():
+                    if e[var]:
+                        d = list(e)
+                        d[var] -= 1
+                        ref[tuple(d)] = v * e[var]
+                results[f"d{var}"] = (a.partial_derivative(var), ref)
+            images_ref = [_rand_coeffs(rng, n) for _ in range(n)]
+            images = [Polynomial.from_terms(vs, t) for t in images_ref]
+            results["ring_map"] = (ring_map(a, vs, images), _ref_ring_map(ra, images_ref, one))
+            shift_ref = [
+                _ref_add({tuple(int(i == j) for j in range(n)): Q(1)}, {zero_e: p})
+                for i, p in enumerate(point)
+            ]
+            results["translate"] = (a.translate(point), _ref_ring_map(ra, shift_ref, one))
+            for name, (got, ref) in results.items():
+                _assert_canonical(got)
+                assert _coefficients(got) == ref, name
+            expected = sum(
+                (v * math.prod(x**e_i for x, e_i in zip(point, e)) for e, v in ra.items()),
+                Q(0),
+            )
+            assert a.evaluate(point) == expected
+            assert a.translate(point).translate([-x for x in point]) == a
+            if not b.is_zero():
+                assert exact_divide(a * b, b) == a
+                if not b.is_constant():
+                    with pytest.raises(ValueError):
+                        exact_divide(a * b + Polynomial.one(vs), b)
+
+
+def test_exact_divide_rejects_nonintegral_quotient():
+    # x^2 + 1 = (2x + 1)(x/2 - 1/4) + 5/4: the primitive leading terms do not divide
+    with pytest.raises(ValueError):
+        exact_divide(poly("x^2 + 1"), poly("2x + 1"))
+    half = Polynomial.constant(varset("x,y"), Q(1, 2))
+    assert exact_divide(poly("x + 1"), poly("2x + 2")) == half
+
+
+def test_canonical_form_is_unique():
+    vs = varset("x,y")
+    half = Polynomial.constant(vs, Q(1, 2))
+    forms = [
+        poly("x + 1"),
+        poly("2x + 2") * half,
+        poly("2x + 2").scale(Q(1, 2)),
+        Polynomial.from_terms(vs, {(1, 0): Q(3, 3), (0, 0): Q(2, 2)}),
+        Polynomial.from_terms(vs, {(1, 0): "1", (0, 0): 1, (0, 1): "0"}),
+        poly("3/4x + 3/4").scale(Q(4, 3)),
+        -poly("-x - 1"),
+    ]
+    for p in forms:
+        _assert_canonical(p)
+        assert p == forms[0]
+        assert hash(p) == hash(forms[0])
+        assert p.terms == {(1, 0): 1, (0, 0): 1} and p.content == 1
+    neg = poly("-6x^2 + 4/3y")
+    _assert_canonical(neg)
+    assert neg.terms == {(2, 0): -9, (0, 1): 2} and neg.content == Q(2, 3)
+    assert neg.leading_coefficient(GREVLEX) == -6 and neg.constant_term() == 0
+    assert neg.primitive() == poly("9x^2 - 2y") and neg.primitive().content == 1
+    assert neg.monic(GREVLEX) == poly("x^2 - 2/9y")
+    zeros = (
+        Polynomial.zero(vs),
+        neg - neg,
+        neg.scale(0),
+        Polynomial.from_terms(vs, {}),
+        Polynomial.from_terms(vs, {(1, 0): "0", (0, 0): Q(0)}),
+        Polynomial.constant(vs, 0),
+    )
+    for zero in zeros:
+        _assert_canonical(zero)
+        assert zero == Polynomial.zero(vs) and zero.content == 0
