@@ -48,11 +48,9 @@ from .ideals import (
 )
 from .linalg import (
     RationalMatrix,
-    UnivariatePolynomial,
     characteristic_polynomial,
     sturm_real_root_count,
     symmetric_signature,
-    upoly,
 )
 from .oracle import SphereProbe, halfbranch_count, sphere_probe
 from .parsing import ideal_to_string, parse_ideal, parse_polynomial, polynomial_to_string

@@ -217,10 +217,13 @@ def resolve_curve(
 
     Smooth input is tolerated: it returns a depth-0 model whose single chart
     is the identity (the jacobian criterion, with the one computed dimension).
+    The dimension is taken from the certificate when it carries one.
     Recursion only passes through rational singular fiber points; a
     non-rational one aborts with the zero-dimensional ideal that isolates it.
     """
-    dimension = krull_dimension(i)
+    dimension = None if certificate is None else certificate.dimension
+    if dimension is None:
+        dimension = krull_dimension(i)
     if dimension != 1:
         raise NotACurve(dimension)
     if certificate is None and not assume_radical:

@@ -78,6 +78,16 @@ def _parse_fraction(text: str) -> Fraction:
         raise UsageError(f"bad rational {text!r}") from exc
 
 
+def _max_depth(text: str) -> int:
+    try:
+        depth = int(text)
+    except ValueError:
+        depth = -1
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"max depth must be a nonnegative integer: {text!r}")
+    return depth
+
+
 def _emit_report(report: dict, fmt: str) -> None:
     if fmt == "machine":
         sys.stdout.write(machine_format(report))
@@ -168,6 +178,8 @@ def _cmd_oracle(args) -> int:
     radii = None
     if args.radii:
         radii = [_parse_fraction(r) for r in args.radii.split(",")]
+        if any(r <= 0 for r in radii):
+            raise UsageError(f"radii must be positive: {args.radii!r}")
     count = halfbranch_count(i, point, radii)
     sys.stdout.write(f"{count}\n")
     return 0
@@ -184,7 +196,7 @@ def _build_parser() -> _Parser:
     analyze.add_argument("--ideal", required=True, help="ideal file")
     analyze.add_argument("--point", required=True, help="rational coordinates c1,...,cn")
     analyze.add_argument("--assume-radical", action="store_true", dest="assume_radical")
-    analyze.add_argument("--max-depth", type=int, default=6, dest="max_depth")
+    analyze.add_argument("--max-depth", type=_max_depth, default=6, dest="max_depth")
     analyze.add_argument("--format", choices=("text", "machine"), default="text")
     analyze.set_defaults(run=_cmd_analyze)
 
@@ -209,7 +221,7 @@ def _build_parser() -> _Parser:
     fourbar.add_argument("--l2", required=True)
     fourbar.add_argument("--l4", required=True)
     fourbar.add_argument("--l3", default=None, help="defaults to l2+l4-2")
-    fourbar.add_argument("--max-depth", type=int, default=6, dest="max_depth")
+    fourbar.add_argument("--max-depth", type=_max_depth, default=6, dest="max_depth")
     fourbar.add_argument("--format", choices=("text", "machine"), default="text")
     fourbar.set_defaults(run=_cmd_fourbar)
 

@@ -2,178 +2,36 @@
 
 Coefficients are `fractions.Fraction` throughout, so every result is exact;
 there are no floating-point code paths anywhere in this module.  Univariate
-polynomials store their coefficients lowest degree first, the zero polynomial
-being the empty coefficient tuple.
+polynomials are one-variable `Polynomial`s: characteristic polynomials live in
+the ring Z_RING, and the Sturm counts accept any one-variable ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import NotSquare, NotSymmetric, ZeroPolynomial
+from .errors import NotSquare, NotSymmetric, VariableSetMismatch
+from .groebner import normal_form
+from .polynomials import Polynomial, VariableSet, squarefree_part
 
 Q = Fraction
+
+Z_RING = VariableSet.of("z")
 
 
 def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class UnivariatePolynomial:
-    """Dense univariate polynomial over the rationals.
-
-    coefficients[i] is the coefficient of degree i; the leading coefficient is
-    nonzero unless the polynomial is zero (empty tuple).
-    """
-
-    coefficients: tuple[Fraction, ...]
-
-    @staticmethod
-    def from_coefficients(coeffs: Iterable) -> "UnivariatePolynomial":
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return UnivariatePolynomial(tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial, -1 for the zero polynomial."""
-        return len(self.coefficients) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def leading_coefficient(self) -> Fraction:
-        if self.is_zero():
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coefficients[-1]
-
-    def __add__(self, other: "UnivariatePolynomial") -> "UnivariatePolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UnivariatePolynomial.from_coefficients(out)
-
-    def __neg__(self) -> "UnivariatePolynomial":
-        return UnivariatePolynomial(tuple(-c for c in self.coefficients))
-
-    def __sub__(self, other: "UnivariatePolynomial") -> "UnivariatePolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "UnivariatePolynomial") -> "UnivariatePolynomial":
-        if self.is_zero() or other.is_zero():
-            return UnivariatePolynomial(())
-        out = [Q(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a:
-                for j, b in enumerate(other.coefficients):
-                    out[i + j] += a * b
-        return UnivariatePolynomial.from_coefficients(out)
-
-    def __pow__(self, n: int) -> "UnivariatePolynomial":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = UnivariatePolynomial((Q(1),))
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def scale(self, c) -> "UnivariatePolynomial":
-        c = _as_fraction(c)
-        if c == 0:
-            return UnivariatePolynomial(())
-        return UnivariatePolynomial(tuple(a * c for a in self.coefficients))
-
-    def monic(self) -> "UnivariatePolynomial":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.leading_coefficient())
-
-    def derivative(self) -> "UnivariatePolynomial":
-        return UnivariatePolynomial.from_coefficients(
-            [i * c for i, c in enumerate(self.coefficients)][1:]
-        )
-
-    def __call__(self, x) -> Fraction:
-        x = _as_fraction(x)
-        acc = Q(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def divmod(self, other: "UnivariatePolynomial"):
-        """Exact polynomial division with remainder over the rationals."""
-        if other.is_zero():
-            raise ZeroPolynomial("division by the zero polynomial")
-        q = [Q(0)] * max(0, self.degree - other.degree + 1)
-        r = list(self.coefficients)
-        d = other.degree
-        lc = other.leading_coefficient()
-        while len(r) - 1 >= d and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            shift = len(r) - 1 - d
-            factor = r[-1] / lc
-            q[shift] = factor
-            for i, c in enumerate(other.coefficients):
-                r[i + shift] -= factor * c
-        return (
-            UnivariatePolynomial.from_coefficients(q),
-            UnivariatePolynomial.from_coefficients(r),
-        )
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coefficients[i]
-            if c == 0:
-                continue
-            term = str(c) if i == 0 else ("z" if i == 1 else f"z^{i}")
-            if i > 0 and abs(c) != 1:
-                term = f"{c}*{term}"
-            elif i > 0 and c == -1:
-                term = f"-{term}"
-            parts.append(term)
-        out = parts[0]
-        for t in parts[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
-        return out
+def require_univariate(f: Polynomial) -> None:
+    """Raise VariableSetMismatch unless the ring of f has exactly one variable."""
+    if len(f.vars) != 1:
+        raise VariableSetMismatch(f"expected a one-variable polynomial, got ring ({f.vars})")
 
 
-def upoly(coeffs: Iterable) -> UnivariatePolynomial:
-    return UnivariatePolynomial.from_coefficients(coeffs)
-
-
-def univariate_gcd(
-    f: UnivariatePolynomial, g: UnivariatePolynomial
-) -> UnivariatePolynomial:
-    """Monic gcd by the Euclidean algorithm."""
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a.monic() if not a.is_zero() else a
-
-
-def squarefree_part_univariate(f: UnivariatePolynomial) -> UnivariatePolynomial:
-    if f.is_zero():
-        raise ZeroPolynomial("squarefree part of the zero polynomial")
-    g = univariate_gcd(f, f.derivative())
-    if g.degree <= 0:
-        return f
-    return f.divmod(g)[0]
-
-
-def _sign(x: Fraction) -> int:
+def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
@@ -182,55 +40,44 @@ def _sign_variations(signs: Sequence[int]) -> int:
     return sum(1 for a, b in zip(filtered, filtered[1:]) if a * b < 0)
 
 
-def sturm_chain(f: UnivariatePolynomial) -> list[UnivariatePolynomial]:
-    chain = [f, f.derivative()]
+def sturm_chain(f: Polynomial) -> list[Polynomial]:
+    chain = [f, f.partial_derivative(0)]
     while not chain[-1].is_zero():
-        r = chain[-2].divmod(chain[-1])[1]
-        chain.append(-r)
+        # in one variable, division by a single divisor is Euclidean division
+        chain.append(-normal_form(chain[-2], [chain[-1]]))
     chain.pop()
     return chain
 
 
-def _variations_at_infinity(chain: Sequence[UnivariatePolynomial], sign: int) -> int:
-    # sign of p at +inf is sign(lc); at -inf it flips with odd degree
+def _variations_at_infinity(chain: Sequence[Polynomial], sign: int) -> int:
+    # sign of p at +inf is sign(lc); at -inf it flips with odd degree; the
+    # content is positive, so the integer terms carry the signs
     signs = []
     for p in chain:
-        if p.is_zero():
-            signs.append(0)
-        elif sign > 0:
-            signs.append(_sign(p.leading_coefficient()))
-        else:
-            signs.append(_sign(p.leading_coefficient()) * (-1) ** (p.degree % 2))
+        d = p.degree_in(0)
+        s = _sign(p.terms[(d,)])
+        signs.append(s if sign > 0 or d % 2 == 0 else -s)
     return _sign_variations(signs)
 
 
-def _variations_at(chain: Sequence[UnivariatePolynomial], x: Fraction) -> int:
-    return _sign_variations([_sign(p(x)) for p in chain])
+def _variations_at(chain: Sequence[Polynomial], x: Fraction) -> int:
+    return _sign_variations([_sign(p.evaluate((x,))) for p in chain])
 
 
-def sturm_real_root_count(f: UnivariatePolynomial) -> int:
-    """Number of distinct real roots of f, by Sturm's theorem.
+def sturm_real_root_count(f: Polynomial) -> int:
+    """Number of distinct real roots of a one-variable f, by Sturm's theorem.
 
     The chain is built from the squarefree part, so multiplicities never
     disturb the count.
     """
-    if f.is_zero():
-        raise ZeroPolynomial("root count of the zero polynomial")
-    g = squarefree_part_univariate(f)
-    if g.degree <= 0:
-        return 0
-    chain = sturm_chain(g)
-    return _variations_at_infinity(chain, -1) - _variations_at_infinity(chain, +1)
+    return sturm_count_interval(f, None, None)
 
 
-def sturm_count_interval(
-    f: UnivariatePolynomial, a: Fraction | None, b: Fraction | None
-) -> int:
-    """Distinct real roots of f in (a, b]; None stands for -inf / +inf."""
-    if f.is_zero():
-        raise ZeroPolynomial("root count of the zero polynomial")
-    g = squarefree_part_univariate(f)
-    if g.degree <= 0:
+def sturm_count_interval(f: Polynomial, a: Fraction | None, b: Fraction | None) -> int:
+    """Distinct real roots of a one-variable f in (a, b]; None stands for -inf / +inf."""
+    require_univariate(f)
+    g = squarefree_part(f)  # raises ZeroPolynomial for f = 0
+    if g.degree_in(0) <= 0:
         return 0
     chain = sturm_chain(g)
     va = _variations_at_infinity(chain, -1) if a is None else _variations_at(chain, a)
@@ -368,8 +215,8 @@ class RationalMatrix:
         return inverse
 
 
-def characteristic_polynomial(m: RationalMatrix) -> UnivariatePolynomial:
-    """det(z*Id - M) by the Faddeev-LeVerrier recurrence, exactly.
+def characteristic_polynomial(m: RationalMatrix) -> Polynomial:
+    """det(z*Id - M) in the ring Z_RING, by the Faddeev-LeVerrier recurrence.
 
     The recurrence only ever divides traces by small integers, which is exact
     over the rationals.
@@ -378,7 +225,7 @@ def characteristic_polynomial(m: RationalMatrix) -> UnivariatePolynomial:
         raise NotSquare("characteristic polynomial of a non-square matrix")
     n = m.rows
     if n == 0:
-        return upoly([1])
+        return Polynomial.one(Z_RING)
     coeffs = [Q(0)] * (n + 1)
     coeffs[n] = Q(1)
     a = m
@@ -392,11 +239,7 @@ def characteristic_polynomial(m: RationalMatrix) -> UnivariatePolynomial:
         a = m * shifted
         c = -a.trace() / k
         coeffs[n - k] = c
-    return UnivariatePolynomial(tuple(coeffs))
-
-
-def _descartes_variations(coeffs: Sequence[Fraction]) -> int:
-    return _sign_variations([_sign(c) for c in coeffs])
+    return Polynomial.from_terms(Z_RING, {(k,): c for k, c in enumerate(coeffs)})
 
 
 def symmetric_signature(m: RationalMatrix) -> tuple[int, int]:
@@ -404,17 +247,16 @@ def symmetric_signature(m: RationalMatrix) -> tuple[int, int]:
 
     All eigenvalues of a symmetric matrix are real, so Descartes' rule applied
     to the characteristic polynomial is exact (multiplicities included).  Zero
-    eigenvalues are split off as trailing zero coefficients, never through any
-    threshold.
+    eigenvalues show up as missing low-degree terms, which count for neither
+    sign; no threshold is involved.
     """
     if not m.is_square():
         raise NotSquare("signature of a non-square matrix")
     if not m.is_symmetric():
         raise NotSymmetric("signature of a non-symmetric matrix")
-    p = characteristic_polynomial(m)
-    coeffs = list(p.coefficients)
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-    n_plus = _descartes_variations(coeffs)
-    n_minus = _descartes_variations([c * (-1) ** i for i, c in enumerate(coeffs)])
+    # ascending degree; the content is positive, so the integer terms carry
+    # the signs of p(z), and flipping the odd degrees gives those of p(-z)
+    terms = sorted(characteristic_polynomial(m).terms.items())
+    n_plus = _sign_variations([_sign(c) for _, c in terms])
+    n_minus = _sign_variations([_sign(c) * (-1) ** e[0] for e, c in terms])
     return n_plus, n_minus

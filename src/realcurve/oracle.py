@@ -57,13 +57,16 @@ def halfbranch_count(
 
     Degenerate radii (probe not zero-dimensional) are skipped; running out of
     radii without two consecutive agreeing counts raises NoStabilization.
+    A radius that is not positive raises ValueError.
     """
+    schedule = DEFAULT_RADII if radii is None else tuple(Q(r) for r in radii)
+    if any(r <= 0 for r in schedule):
+        raise ValueError("sphere radii must be positive")
     if not is_on_variety(i, point):
         raise PointNotOnVariety(f"point {tuple(point)} is not on V(I)")
     dimension = krull_dimension(i)
     if dimension != 1:
         raise NotACurve(dimension)
-    schedule = DEFAULT_RADII if radii is None else tuple(Q(r) for r in radii)
     previous: int | None = None
     for radius in schedule:
         probe = sphere_probe(i, point, radius)

@@ -156,6 +156,8 @@ class RadicalityCertificate:
     reason: RadicalityReason
     # populated by the complete-intersection route, handy for reports
     singular_locus_dimension: int | None = None
+    # Krull dimension of the ideal, when a certified route already knows it
+    dimension: int | None = None
 
     @property
     def known(self) -> bool:
@@ -184,8 +186,11 @@ def radicality_certificate(i: IdealPresentation) -> RadicalityCertificate:
     if len(gens) == 1:
         f = gens[0]
         if squarefree_part(f) == f.primitive():
+            # a nonconstant f cuts out a hypersurface, a constant one nothing
             return RadicalityCertificate(
-                RadicalityVerdict.RADICAL, RadicalityReason.PRINCIPAL_SQUAREFREE
+                RadicalityVerdict.RADICAL,
+                RadicalityReason.PRINCIPAL_SQUAREFREE,
+                dimension=-1 if f.is_constant() else len(i.variables) - 1,
             )
         return UNKNOWN_RADICALITY
     dim = krull_dimension(i)
@@ -198,6 +203,7 @@ def radicality_certificate(i: IdealPresentation) -> RadicalityCertificate:
                 RadicalityVerdict.RADICAL_EQUIDIMENSIONAL,
                 RadicalityReason.COMPLETE_INTERSECTION_ZERO_DIM_SING_LOCUS,
                 singular_locus_dimension=sing_dim,
+                dimension=dim,
             )
     return UNKNOWN_RADICALITY
 

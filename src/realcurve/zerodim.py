@@ -32,8 +32,8 @@ from .ideals import (
     ideal_sum,
     quotient,  # unused here; bench/test_bench.py's binding-site test pins zerodim.quotient
 )
-from .linalg import RationalMatrix, UnivariatePolynomial, symmetric_signature, upoly
-from .polynomials import GREVLEX, Exponent, Polynomial, monomial_divides
+from .linalg import Z_RING, RationalMatrix, require_univariate, symmetric_signature
+from .polynomials import GREVLEX, Exponent, Polynomial, VariableSet, monomial_divides
 
 Q = Fraction
 
@@ -227,11 +227,11 @@ def count_points(algebra: ZeroDimAlgebra) -> PointCounts:
     return PointCounts(complex_distinct=n_plus + n_minus, real_distinct=n_plus - n_minus)
 
 
-def minimal_polynomial(m: RationalMatrix) -> UnivariatePolynomial:
-    """Monic minimal polynomial via exact Krylov elimination on matrix powers."""
+def minimal_polynomial(m: RationalMatrix) -> Polynomial:
+    """Monic minimal polynomial in Z_RING, by exact Krylov elimination on matrix powers."""
     d = m.rows
     if d == 0:
-        return upoly([1])
+        return Polynomial.one(Z_RING)
     pivots: list[tuple[int, list[Fraction], list[Fraction]]] = []
     power = RationalMatrix.identity(d)
     for k in range(d + 1):
@@ -245,19 +245,22 @@ def minimal_polynomial(m: RationalMatrix) -> UnivariatePolynomial:
                     combo[j] -= f * c
         nz = next((idx for idx, v in enumerate(vec) if v), None)
         if nz is None:
-            return upoly(combo)
+            return Polynomial.from_terms(Z_RING, {(j,): c for j, c in enumerate(combo)})
         pivots.append((nz, vec, combo))
         power = power * m
     raise AssertionError("no minimal polynomial of degree <= dimension found")
 
 
-def eliminant(algebra: ZeroDimAlgebra, var: int | str) -> UnivariatePolynomial:
+def eliminant(algebra: ZeroDimAlgebra, var: int | str) -> Polynomial:
     """Minimal polynomial of the multiplication-by-variable operator.
 
-    Every coordinate (in the chosen position) of every solution is a root.
+    It lives in the one-variable ring named after var.  Every coordinate (in
+    the chosen position) of every solution is a root.
     """
-    i = algebra.ideal.variables.index(var) if isinstance(var, str) else var
-    return minimal_polynomial(algebra.mult_matrices[i])
+    names = algebra.ideal.variables.names
+    i = names.index(var) if isinstance(var, str) else var
+    mu = minimal_polynomial(algebra.mult_matrices[i])
+    return Polynomial(VariableSet.of(names[i]), mu.terms, mu.content)
 
 
 def _with_lifts(algebra: ZeroDimAlgebra, vectors) -> IdealPresentation:
@@ -316,28 +319,23 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def rational_roots(p: UnivariatePolynomial) -> list[Fraction]:
-    """All rational roots, by the rational root theorem on the primitive part."""
+def rational_roots(p: Polynomial) -> list[Fraction]:
+    """All rational roots of a one-variable p, by the rational root theorem.
+
+    A nonzero root num/d in lowest terms has num dividing the lowest-degree
+    and d the highest-degree coefficient of the primitive integer terms.
+    """
+    require_univariate(p)
     if p.is_zero():
         raise ValueError("rational roots of the zero polynomial")
-    coeffs = list(p.coefficients)
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    roots = []
-    shift = 0
-    while ints and ints[0] == 0:
-        ints.pop(0)
-        shift += 1
-    if shift:
-        roots.append(Q(0))
-    if len(ints) <= 1:
+    low, high = min(p.terms)[0], max(p.terms)[0]
+    roots = [Q(0)] if low else []
+    if low == high:
         return roots
-    for num in _divisors(ints[0]):
-        for d in _divisors(ints[-1]):
+    for num in _divisors(p.terms[(low,)]):
+        for d in _divisors(p.terms[(high,)]):
             for cand in (Q(num, d), Q(-num, d)):
-                if cand not in roots and p(cand) == 0:
+                if cand not in roots and p.evaluate((cand,)) == 0:
                     roots.append(cand)
     return sorted(roots)
 

@@ -19,6 +19,11 @@ def poly(text: str, names: str = "x,y") -> Polynomial:
     return parse_polynomial(text, varset(names))
 
 
+def zpoly(coeffs, name: str = "z") -> Polynomial:
+    """The one-variable polynomial with these coefficients, lowest degree first."""
+    return Polynomial.from_terms(VariableSet.of(name), {(k,): c for k, c in enumerate(coeffs)})
+
+
 def make_ideal(names: str, *gens: str) -> IdealPresentation:
     vs = varset(names)
     return ideal(vs, tuple(parse_polynomial(g, vs) for g in gens))

@@ -34,13 +34,12 @@ from realcurve import (
     singular_locus_ideal,
     sturm_real_root_count,
     translate_ideal,
-    upoly,
 )
 from realcurve.ideals import ideal
 from realcurve.polynomials import Polynomial, VariableSet
 from realcurve.zerodim import zerodim_radical
 
-from conftest import make_ideal, varset
+from conftest import make_ideal, varset, zpoly
 
 Q = Fraction
 
@@ -230,12 +229,10 @@ def test_criterion_8_property_suites(node):
             degree = rng.randint(1, 5)
             coeffs = [Q(rng.randint(-6, 6)) for _ in range(degree)]
             coeffs.append(Q(rng.randint(1, 4)))
-            f = upoly(coeffs)
-            if f.degree < 1:
+            f = zpoly(coeffs, "y")
+            if f.degree_in(0) < 1:
                 continue
-            lifted = Polynomial.from_terms(
-                vs, {(0, k): c for k, c in enumerate(f.coefficients) if c}
-            )
+            lifted = rename_variables(f, vs)
             counts = count_points(build(ideal(vs, (t_poly, lifted))))
             assert counts.real_distinct == sturm_real_root_count(f)
             done += 1

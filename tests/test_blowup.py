@@ -383,16 +383,13 @@ def test_strict_transform_basis_comes_from_saturation_only(monkeypatch):
 
 def _seidenberg_radical(i):
     # reference radical: adjoin the squarefree part of every coordinate eliminant
-    from realcurve import Polynomial, build, eliminant, ideal_sum
-    from realcurve.linalg import squarefree_part_univariate
+    from realcurve import build, eliminant, ideal_sum, rename_variables, squarefree_part
 
     algebra = build(i)
-    n = len(i.variables)
-    extra = []
-    for var in range(n):
-        part = squarefree_part_univariate(eliminant(algebra, var))
-        exponents = (tuple(k if j == var else 0 for j in range(n)) for k in range(part.degree + 1))
-        extra.append(Polynomial.from_terms(i.variables, dict(zip(exponents, part.coefficients))))
+    extra = [
+        rename_variables(squarefree_part(eliminant(algebra, var)), i.variables)
+        for var in range(len(i.variables))
+    ]
     return ideal_sum(i, ideal(i.variables, extra))
 
 

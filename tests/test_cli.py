@@ -179,6 +179,35 @@ def test_cli_oracle_custom_radii(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "4"
 
 
+@pytest.mark.parametrize("radii", ["0,0", "1/4,-1/8"])
+def test_cli_oracle_rejects_non_positive_radii(tmp_path, capsys, radii):
+    path = _write(tmp_path, "node.ideal", NODE_TEXT)
+    assert main(["oracle", "--ideal", path, "--point", "0,0", "--radii", radii]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage error" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--ideal", "IDEAL", "--point", "0,0", "--max-depth", "-1"],
+        ["fourbar", "--l2", "3/2", "--l4", "3/2", "--max-depth", "-1"],
+        ["analyze", "--ideal", "IDEAL", "--point", "0,0", "--max-depth", "two"],
+    ],
+)
+def test_cli_rejects_bad_max_depth(tmp_path, capsys, argv):
+    path = _write(tmp_path, "node.ideal", NODE_TEXT)
+    assert main([path if a == "IDEAL" else a for a in argv]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_cli_max_depth_zero_is_allowed(tmp_path, capsys):
+    path = _write(tmp_path, "node.ideal", NODE_TEXT)
+    argv = ["analyze", "--ideal", path, "--point", "0,0", "--max-depth", "0"]
+    assert main(argv + ["--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "inconclusive"
+
+
 def test_cli_fourbar(capsys):
     code = main(["fourbar", "--l2", "3/2", "--l4", "3/2", "--format", "machine"])
     assert code == 0

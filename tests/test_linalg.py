@@ -8,56 +8,58 @@ from fractions import Fraction
 import pytest
 
 from realcurve import (
+    Polynomial,
     RationalMatrix,
+    VariableSet,
     characteristic_polynomial,
+    multivariate_gcd,
+    squarefree_part,
     sturm_real_root_count,
     symmetric_signature,
-    upoly,
 )
-from realcurve.errors import NotSquare, NotSymmetric, ZeroPolynomial
-from realcurve.linalg import (
-    squarefree_part_univariate,
-    sturm_count_interval,
-    univariate_gcd,
-)
+from realcurve.errors import NotSquare, NotSymmetric, VariableSetMismatch, ZeroPolynomial
+from realcurve.linalg import sturm_count_interval
+from realcurve.zerodim import rational_roots
+
+from conftest import zpoly
 
 Q = Fraction
 
 
 def test_sturm_no_real_roots():
-    assert sturm_real_root_count(upoly([1, 0, 1])) == 0  # z^2 + 1
+    assert sturm_real_root_count(zpoly([1, 0, 1])) == 0  # z^2 + 1
 
 
 def test_sturm_one_real_root():
-    assert sturm_real_root_count(upoly([-5, 0, 0, 1])) == 1  # z^3 - 5
+    assert sturm_real_root_count(zpoly([-5, 0, 0, 1])) == 1  # z^3 - 5
 
 
 def test_sturm_two_real_roots():
-    assert sturm_real_root_count(upoly([-2, 0, 1])) == 2  # z^2 - 2
+    assert sturm_real_root_count(zpoly([-2, 0, 1])) == 2  # z^2 - 2
 
 
 def test_sturm_counts_distinct_roots_only():
     # (z-1)^2 * (z+2)
-    f = upoly([1, -2, 1]) * upoly([2, 1])
+    f = zpoly([1, -2, 1]) * zpoly([2, 1])
     assert sturm_real_root_count(f) == 2
 
 
 def test_sturm_zero_polynomial_rejected():
     with pytest.raises(ZeroPolynomial):
-        sturm_real_root_count(upoly([]))
+        sturm_real_root_count(zpoly([]))
 
 
 def test_characteristic_polynomial_zero_matrix():
-    assert characteristic_polynomial(RationalMatrix.zero(2, 2)) == upoly([0, 0, 1])
+    assert characteristic_polynomial(RationalMatrix.zero(2, 2)) == zpoly([0, 0, 1])
 
 
 def test_characteristic_polynomial_identity():
-    assert characteristic_polynomial(RationalMatrix.identity(2)) == upoly([1, -2, 1])
+    assert characteristic_polynomial(RationalMatrix.identity(2)) == zpoly([1, -2, 1])
 
 
 def test_characteristic_polynomial_diagonal():
     m = RationalMatrix.from_rows([[2, 0], [0, -4]])
-    assert characteristic_polynomial(m) == upoly([-8, 2, 1])
+    assert characteristic_polynomial(m) == zpoly([-8, 2, 1])
 
 
 def test_characteristic_polynomial_requires_square():
@@ -84,9 +86,9 @@ def test_signature_rejects_asymmetric():
 
 
 def test_univariate_gcd_and_squarefree():
-    f = upoly([1, 1]) ** 2 * upoly([-1, 1])
-    assert univariate_gcd(f, f.derivative()) == upoly([1, 1])
-    assert squarefree_part_univariate(f) == upoly([1, 1]) * upoly([-1, 1])
+    f = zpoly([1, 1]) ** 2 * zpoly([-1, 1])
+    assert multivariate_gcd(f, f.partial_derivative(0)) == zpoly([1, 1])
+    assert squarefree_part(f) == zpoly([1, 1]) * zpoly([-1, 1])
 
 
 def test_rational_arithmetic_is_exact():
@@ -114,14 +116,14 @@ def test_signature_matches_sturm_interval_counts():
     while checked < 12:
         m = _random_symmetric(rng, rng.randint(2, 4))
         p = characteristic_polynomial(m)
-        if univariate_gcd(p, p.derivative()).degree > 0:
+        if multivariate_gcd(p, p.partial_derivative(0)).degree_in(0) > 0:
             continue  # repeated eigenvalue; Sturm counts distinct roots only
         n_plus, n_minus = symmetric_signature(m)
         assert n_plus == sturm_count_interval(p, Q(0), None)
         assert n_minus == sturm_count_interval(p, None, Q(0)) - (
-            1 if p(Q(0)) == 0 else 0
+            1 if p.constant_term() == 0 else 0
         )
-        assert n_plus + n_minus + (1 if p(Q(0)) == 0 else 0) == m.rows
+        assert n_plus + n_minus + (1 if p.constant_term() == 0 else 0) == m.rows
         checked += 1
 
 
@@ -183,3 +185,77 @@ def test_inverse_rejects_singular_matrices():
         m.inverse()
     inv = RationalMatrix.from_rows([[Q(1, 3), 2], [0, -1]]).inverse()
     assert inv == RationalMatrix.from_rows([[3, 6], [0, -1]])
+
+
+# ---------------------------------------------------------------------------
+# the univariate layer against sympy, on polynomials with known factors
+
+
+def _random_factored(rng: random.Random):
+    # rational roots come from the linear factors, repeated factors from the
+    # powers; the total degree is 1 to 6
+    target = rng.randint(1, 6)
+    f = zpoly([rng.choice((-3, -2, -1, 1, 2, 3))])
+    while f.degree_in(0) < target:
+        room = target - f.degree_in(0)
+        if room >= 2 and rng.random() < 0.4:
+            factor = zpoly([rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(1, 3)])
+        else:
+            factor = zpoly([rng.randint(-4, 4), rng.randint(1, 3)])
+        f = f * factor ** rng.randint(1, room // factor.degree_in(0))
+    return f
+
+
+def _coefficients(f) -> list[Fraction]:
+    # lowest degree first
+    return [f.content * f.terms.get((k,), 0) for k in range(f.degree_in(0) + 1)]
+
+
+def _to_sympy(sympy, f):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in _coefficients(f)]
+    return sympy.Poly(coeffs[::-1], sympy.Symbol("z"))
+
+
+def _from_sympy(x) -> Fraction:
+    return Q(int(x.p), int(x.q))
+
+
+def test_sturm_count_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(101)
+    for _ in range(40):
+        f = _random_factored(rng)
+        assert sturm_real_root_count(f) == _to_sympy(sympy, f).sqf_part().count_roots()
+
+
+def test_rational_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(103)
+    for _ in range(40):
+        f = _random_factored(rng)
+        expected = sympy.roots(_to_sympy(sympy, f), filter="Q")
+        assert rational_roots(f) == sorted(_from_sympy(r) for r in expected)
+
+
+def test_characteristic_polynomial_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(107)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        rows = [[Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        expected = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+        ).charpoly(sympy.Symbol("z"))
+        ours = characteristic_polynomial(RationalMatrix.from_rows(rows))
+        assert _coefficients(ours) == [_from_sympy(c) for c in reversed(expected.all_coeffs())]
+
+
+def test_univariate_entry_points_reject_other_rings():
+    f = Polynomial.from_terms(VariableSet.of("x", "y"), {(2, 0): 1, (0, 0): -2})
+    for call in (
+        lambda: sturm_real_root_count(f),
+        lambda: sturm_count_interval(f, Q(0), None),
+        lambda: rational_roots(f),
+    ):
+        with pytest.raises(VariableSetMismatch):
+            call()

@@ -32,6 +32,13 @@ def test_isolated_point_has_none():
     assert halfbranch_count(make_ideal("x,y", "x^2 + y^2"), [0, 0]) == 0
 
 
+@pytest.mark.parametrize("radii", [[0, 0], [Q(1, 4), Q(-1, 8)], [Q(1, 2), 0]])
+def test_non_positive_radius_rejected(node, radii):
+    # a zero radius meets the node only at the point itself and used to read 1
+    with pytest.raises(ValueError):
+        halfbranch_count(node, [0, 0], radii)
+
+
 def test_probe_ideal_shape(node):
     probe = sphere_probe(node, [0, 0], Q(1, 2))
     assert probe.radius == Q(1, 2)
