@@ -206,6 +206,12 @@ def _identity_chart(i: IdealPresentation) -> BlowupChart:
     )
 
 
+def check_max_depth(max_depth) -> None:
+    """Raise ValueError unless the blow-up depth limit is an int >= 0 (not a bool)."""
+    if isinstance(max_depth, bool) or not isinstance(max_depth, int) or max_depth < 0:
+        raise ValueError(f"max_depth must be a nonnegative integer, got {max_depth!r}")
+
+
 def resolve_curve(
     i: IdealPresentation,
     max_depth: int = 6,
@@ -221,6 +227,7 @@ def resolve_curve(
     Recursion only passes through rational singular fiber points; a
     non-rational one aborts with the zero-dimensional ideal that isolates it.
     """
+    check_max_depth(max_depth)
     dimension = None if certificate is None else certificate.dimension
     if dimension is None:
         dimension = krull_dimension(i)

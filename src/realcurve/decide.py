@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .blowup import FiberSummary, SmoothModel, fiber_summary, resolve_curve
+from .blowup import FiberSummary, SmoothModel, check_max_depth, fiber_summary, resolve_curve
 from .errors import (
     DepthExceeded,
     IrrationalSingularFiberPoint,
@@ -90,10 +90,12 @@ def classify_point(
 ) -> Classification:
     """Decide whether a rational point of V(i) is a manifold point.
 
-    Raises PointNotOnVariety when the point misses the variety; everything
-    else that can go wrong is reported as an inconclusive classification with
+    Raises ValueError for a max_depth that is not an int >= 0 and
+    PointNotOnVariety when the point misses the variety; everything else
+    that can go wrong is reported as an inconclusive classification with
     the reason recorded in the certificate.
     """
+    check_max_depth(max_depth)
     if not is_on_variety(i, point):
         raise PointNotOnVariety(f"point {tuple(point)} is not on V(I)")
     at_origin = translate_ideal(i, point)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .blowup import check_max_depth
 from .decide import Classification, classify_point
 from .errors import InvalidParams, NotSingularFamily
 from .ideals import IdealPresentation, ideal, krull_dimension
@@ -108,6 +109,7 @@ def analyze_fourbar(
     params: FourBarParams, *, max_depth: int = 6
 ) -> FourBarAnalysis:
     """Classify the singular configuration of a degenerate four-bar instance."""
+    check_max_depth(max_depth)
     i = fourbar_ideal(params)
     point = grashof_singular_point(params)
     classification = classify_point(i, point, max_depth=max_depth)

@@ -3,8 +3,10 @@
 Everything here treats ideals as generator lists; equality is always decided
 by two-sided membership against Groebner bases, never by comparing the lists
 themselves.  Intersections use the classical t-trick (eliminate t from
-t*I + (1-t)*J), quotients go generator by generator through intersections,
-and saturation iterates quotients so the chain length stays observable.
+t*I + (1-t)*J) and quotients go generator by generator through
+intersections.  Saturation by a variable needs neither: it reads the
+saturated ideal off one GREVLEX basis of the homogenized generators with that
+variable ordered last (Bayer's method).
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def ideal_sum(a: IdealPresentation, b: IdealPresentation) -> IdealPresentation:
 
 
 # ---------------------------------------------------------------------------
-# variable bookkeeping for the t-trick
+# variable bookkeeping for the t-trick and homogenization
 
 
 def _fresh_name(base: str, taken: Sequence[str]) -> str:
@@ -152,11 +154,14 @@ def quotient(i: IdealPresentation, j: IdealPresentation) -> IdealPresentation:
 
 @dataclass(frozen=True)
 class SaturationResult:
-    """Stable quotient chain limit plus how many strict growth steps it took.
+    """The saturation (i : x_k^∞), its reduced GREVLEX basis and a diagnostic.
 
-    The iteration count is the multiplicity diagnostic: for a strict transform
-    it equals the power of the exceptional divisor divided out.  The basis is
-    the reduced GREVLEX basis of the limit, which the stability test computes.
+    `iterations` is the largest power of x_k divided out of the homogeneous
+    basis: the saturation index of the homogenized ideal.  For a strict
+    transform it is the power of the exceptional divisor removed; it can
+    exceed the length of the quotient chain i ⊆ i : x_k ⊆ i : x_k^2 ⊆ ...,
+    because the ideal of the homogenized generators can carry extra
+    components at infinity (h = 0).
     """
 
     ideal: IdealPresentation
@@ -165,22 +170,48 @@ class SaturationResult:
 
 
 def saturate(i: IdealPresentation, j: IdealPresentation) -> SaturationResult:
-    """(i : j^∞) by iterating quotients until the chain stabilizes.
+    """(i : j^∞) for j = <c*x_k>; i itself when j has a constant generator.
 
-    Each ideal of the chain is reduced to a basis once; that basis tests
-    the next quotient for stability and is returned with the limit.  Since
-    current ⊆ (current : j) always holds, stability is the reverse inclusion.
+    Bayer's method: homogenize the generators of i with a new variable h,
+    compute one GREVLEX basis with x_k as the last variable, divide each
+    element by the largest power of x_k dividing it, and set h = 1.  For a
+    homogeneous ideal under revlex with x_k last, in(J : x_k^∞) equals
+    in(J) : x_k^∞ (Bayer–Stillman 1987; Eisenbud, Prop. 15.12), and setting
+    h = 1 commutes with saturation by x_k (Cox–Little–O'Shea, ch. 8 §4).
+    A second GREVLEX basis, in the original variables, is returned with the
+    limit.  Any other j raises ValueError.  The zero ideal is returned as is.
     """
-    current = i
-    basis = groebner_basis(current)
-    steps = 0
-    while True:
-        nxt = quotient(current, j)
-        if is_subideal(nxt, current, basis):
-            return SaturationResult(current, steps, basis)
-        current = nxt
-        basis = groebner_basis(current)
-        steps += 1
+    if i.variables != j.variables:
+        raise ValueError("saturation across different rings")
+    if any(g.is_constant() for g in j.generators):
+        return SaturationResult(i, 0, groebner_basis(i))
+    monomials = list(j.generators[0].terms) if len(j.generators) == 1 else []
+    if len(monomials) != 1 or sum(monomials[0]) != 1:
+        raise ValueError("saturate supports only j = <x_k> for one variable x_k, or a unit j")
+    if not i.generators:
+        return SaturationResult(i, 0, groebner_basis(i))
+    k = monomials[0].index(1)
+    names = i.variables.names
+    # extended ring: the other variables, then h, then x_k last
+    ext = VariableSet(names[:k] + names[k + 1 :] + (_fresh_name("h", names), names[k]))
+    homogeneous = []
+    for g in i.generators:
+        d = max(map(sum, g.terms))
+        homogeneous.append(
+            Polynomial(ext, {e[:k] + e[k + 1 :] + (d - sum(e), e[k]): c for e, c in g.terms.items()})
+        )
+    # each basis element is homogeneous, so its x-exponents fix its h-exponent
+    # and no two terms merge when h is set to 1
+    limit = []
+    iterations = 0
+    for g in buchberger(homogeneous, GREVLEX).basis:
+        m = min(e[-1] for e in g.terms)
+        iterations = max(iterations, m)
+        limit.append(
+            Polynomial(i.variables, {e[:k] + (e[-1] - m,) + e[k:-2]: c for e, c in g.terms.items()})
+        )
+    saturated = ideal(i.variables, limit)
+    return SaturationResult(saturated, iterations, groebner_basis(saturated))
 
 
 def krull_dimension(i: IdealPresentation) -> int:

@@ -103,6 +103,28 @@ def test_depth_limit_reported_as_inconclusive():
     assert "depth" in c.certificate.reason_text
 
 
+@pytest.mark.parametrize("max_depth", [-1, -3, 1.5, 2.0, True, False, "2", None])
+def test_bad_max_depth_is_rejected_before_any_work(monkeypatch, node, max_depth):
+    from realcurve import decide, resolve_curve
+
+    def no_work(*args):
+        raise AssertionError("classify_point started work before checking max_depth")
+
+    monkeypatch.setattr(decide, "is_on_variety", no_work)
+    with pytest.raises(ValueError, match="max_depth"):
+        classify_point(node, [0, 0], max_depth=max_depth)
+    with pytest.raises(ValueError, match="max_depth"):
+        resolve_curve(node, max_depth)
+
+
+def test_zero_max_depth_is_allowed(node):
+    c = classify_point(node, [0, 0], max_depth=0)
+    assert c.verdict is Verdict.INCONCLUSIVE
+    assert "depth limit 0" in c.certificate.reason_text
+    smooth = classify_point(node, [-1, 0], max_depth=0)
+    assert smooth.verdict is Verdict.SMOOTH_MANIFOLD_POINT
+
+
 def test_irrational_singular_fiber_point_is_inconclusive():
     # (y^2-2x^2)^2 - x^6 splits into two branches tangent along the
     # irrational directions y = +-sqrt(2) x; the strict transform crosses

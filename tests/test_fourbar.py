@@ -99,3 +99,21 @@ def test_analyze_second_instance():
     c = analysis.classification
     assert c.verdict is Verdict.NOT_MANIFOLD_POINT
     assert c.certificate.fiber.real_points == 2
+
+
+@pytest.mark.parametrize("max_depth", [-3, -1, 1.5, True])
+def test_analyze_rejects_a_bad_max_depth(monkeypatch, max_depth):
+    from realcurve import fourbar
+
+    def no_work(*args):
+        raise AssertionError("analyze_fourbar started work before checking max_depth")
+
+    monkeypatch.setattr(fourbar, "fourbar_ideal", no_work)
+    with pytest.raises(ValueError, match="max_depth"):
+        analyze_fourbar(FourBarParams.of(Q(3, 2), Q(3, 2)), max_depth=max_depth)
+
+
+def test_analyze_with_zero_max_depth_is_inconclusive():
+    analysis = analyze_fourbar(FourBarParams.of(Q(3, 2), Q(3, 2)), max_depth=0)
+    assert analysis.classification.verdict is Verdict.INCONCLUSIVE
+    assert "depth limit 0" in analysis.classification.certificate.reason_text

@@ -4,16 +4,22 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
+
+import pytest
 
 from realcurve import (
     GREVLEX,
     LEX,
     Polynomial,
     buchberger,
+    eliminate,
+    ideal_equal,
     ideal_membership,
     is_groebner_basis,
     normal_form,
 )
+from realcurve.ideals import ideal
 
 from conftest import make_ideal, poly, varset
 
@@ -137,3 +143,72 @@ def test_every_random_basis_satisfies_buchberger_criterion():
             gb = buchberger(gens, order)
             if not gb.is_zero_ideal():
                 assert is_groebner_basis(gb.basis, order)
+
+
+# ---------------------------------------------------------------------------
+# cross-check against sympy (test-only; skipped when sympy is missing)
+
+
+def _monic_terms(terms):
+    lead = terms[0][1]
+    return frozenset((e, c / lead) for e, c in terms)
+
+
+def _basis_terms(gb):
+    return {_monic_terms(g.sorted_terms(gb.order)) for g in gb.basis}
+
+
+def _sympy_basis(sympy, gens, order):
+    syms = sympy.symbols(gens[0].vars.names)
+    polys = [
+        sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator) for e, c in g.sorted_terms(LEX)},
+            *syms,
+            domain=sympy.QQ,
+        )
+        for g in gens
+    ]
+    return sympy.groebner(polys, *syms, order=order)
+
+
+def _from_sympy(sympy_poly, vs):
+    return Polynomial.from_terms(vs, {e: Q(int(c.p), int(c.q)) for e, c in sympy_poly.terms()})
+
+
+def _small_random_ideal(rng: random.Random, vs):
+    # 1-3 generators of 1-4 terms, each of total degree <= 3
+    monomials = [e for e in product(range(4), repeat=len(vs)) if sum(e) <= 3]
+    return [
+        Polynomial.from_terms(vs, {e: rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)) for e in terms})
+        for terms in (rng.sample(monomials, rng.randint(1, 4)) for _ in range(rng.randint(1, 3)))
+    ]
+
+
+def test_reduced_bases_agree_with_sympy_under_permuted_variable_orders():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(43)
+    names = ("w", "x", "y", "z")
+    for _ in range(30):
+        picked = rng.sample(names, rng.randint(2, 4))  # a permuted variable order
+        gens = _small_random_ideal(rng, varset(",".join(picked)))
+        for order, sympy_order in ((LEX, "lex"), (GREVLEX, "grevlex")):
+            expected = _sympy_basis(sympy, gens, sympy_order)
+            ours = buchberger(gens, order)
+            theirs = [_from_sympy(p, gens[0].vars) for p in expected.polys]
+            assert _basis_terms(ours) == {_monic_terms(p.sorted_terms(order)) for p in theirs}
+
+
+def test_elimination_agrees_with_sympy_lex_elimination():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(47)
+    for n in (2, 3, 3, 4):
+        vs = varset(",".join(("w", "x", "y", "z")[:n]))
+        gens = _small_random_ideal(rng, vs) + _small_random_ideal(rng, vs)
+        rest = varset(",".join(vs.names[1:]))
+        lex = _sympy_basis(sympy, gens, "lex")
+        expected = [
+            Polynomial.from_terms(rest, {e[1:]: c for e, c in p.sorted_terms(LEX)})
+            for p in (_from_sympy(q, vs) for q in lex.polys)
+            if all(e[0] == 0 for e in p.terms)
+        ]
+        assert ideal_equal(eliminate(ideal(vs, gens), 1), ideal(rest, expected))

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
+import pytest
+
 from realcurve import (
+    Polynomial,
     eliminate,
     ideal_equal,
     ideal_membership,
@@ -14,9 +18,10 @@ from realcurve import (
     quotient,
     saturate,
 )
-from realcurve.ideals import basis_dimension, groebner_basis
+from realcurve.ideals import basis_dimension, groebner_basis, ideal, is_subideal
 
-from conftest import make_ideal
+from conftest import make_ideal, varset
+from test_blowup import AGREEMENT_RUNS
 
 Q = Fraction
 
@@ -153,20 +158,128 @@ def test_basis_dimension_matches_krull_dimension():
         assert basis_dimension(groebner_basis(i), 2) == krull_dimension(i)
 
 
-def test_saturate_reduces_each_ideal_of_the_chain_once(monkeypatch):
-    # grevlex bases only: the quotients inside run their own elimination bases
+def test_saturate_runs_one_homogeneous_and_one_grevlex_basis(monkeypatch):
     import realcurve.ideals as ideals_module
 
-    orders = []
+    calls = []
     original = ideals_module.buchberger
 
     def counting(gens, order):
-        orders.append(str(order))
+        calls.append((gens[0].vars.names, str(order)))
         return original(gens, order)
 
+    def forbidden(*args):
+        raise AssertionError("saturate reached the quotient chain")
+
     monkeypatch.setattr(ideals_module, "buchberger", counting)
+    for name in ("quotient", "intersect", "eliminate"):
+        monkeypatch.setattr(ideals_module, name, forbidden)
     for gens, expected in ((("t^2x", "t^3y"), 3), (("x^2", "xy"), 0)):
-        orders.clear()
-        res = saturate(make_ideal("t,x,y", *gens), make_ideal("t,x,y", "t"))
+        calls.clear()
+        res = saturate(make_ideal("x,t,y", *gens), make_ideal("x,t,y", "t"))
         assert res.iterations == expected
-        assert orders.count("grevlex") == res.iterations + 1
+        assert calls == [(("x", "y", "h", "t"), "grevlex"), (("x", "t", "y"), "grevlex")]
+
+
+@pytest.mark.parametrize("gens", [("x + y",), ("x", "y"), ("x^2",), ("xy",), ("x + 1",)])
+def test_saturate_rejects_anything_but_one_variable(gens):
+    with pytest.raises(ValueError, match="x_k"):
+        saturate(make_ideal("x,y", "x^2", "xy"), make_ideal("x,y", *gens))
+
+
+def test_saturate_accepts_a_scaled_variable():
+    res = saturate(make_ideal("t,x,y", "t^2x", "t^3y"), make_ideal("t,x,y", "-3t"))
+    assert ideal_equal(res.ideal, make_ideal("t,x,y", "x", "y"))
+    assert res.iterations == 3
+
+
+@pytest.mark.parametrize("j", ["t", "1"])
+def test_saturate_returns_the_zero_ideal_unchanged(j):
+    i = make_ideal("t,x,y")
+    res = saturate(i, make_ideal("t,x,y", j))
+    assert res.ideal is i
+    assert res.iterations == 0
+    assert res.basis.is_zero_ideal()
+
+
+def test_saturate_by_a_constant_generator_returns_its_input():
+    i = make_ideal("t,x,y", "t^2x", "t^3y")
+    for j in (make_ideal("t,x,y", "1"), make_ideal("t,x,y", "t", "2")):
+        res = saturate(i, j)
+        assert res.ideal is i
+        assert res.iterations == 0
+        assert res.basis == groebner_basis(i)
+
+
+def test_saturate_names_h_apart_from_the_ring():
+    res = saturate(make_ideal("h,t,x", "t^2h", "t^2x - t"), make_ideal("h,t,x", "t"))
+    assert ideal_equal(res.ideal, make_ideal("h,t,x", "h", "tx - 1"))
+
+
+# ---------------------------------------------------------------------------
+# agreement with the quotient chain i ⊆ i : j ⊆ i : j^2 ⊆ ... it replaced
+
+
+def _chain_saturation(i, j):
+    """Reference saturation: iterate quotient until the chain stabilizes."""
+    current = i
+    while True:
+        nxt = quotient(current, j)
+        if is_subideal(nxt, current):
+            return current
+        current = nxt
+
+
+def _assert_agrees_with_chain(i, j):
+    res = saturate(i, j)
+    assert res.basis == groebner_basis(_chain_saturation(i, j))
+    assert res.basis == groebner_basis(res.ideal)
+
+
+def _recorded_saturations(monkeypatch, run):
+    from realcurve import blowup
+
+    inputs = []
+    original = blowup.saturate
+
+    def recording(i, j):
+        inputs.append((i, j))
+        return original(i, j)
+
+    with monkeypatch.context() as m:
+        m.setattr(blowup, "saturate", recording)
+        run()
+    return inputs
+
+
+@pytest.mark.parametrize("label, run", AGREEMENT_RUNS, ids=[label for label, _ in AGREEMENT_RUNS])
+def test_saturate_agrees_with_the_quotient_chain_on_every_visited_chart(monkeypatch, label, run):
+    inputs = _recorded_saturations(monkeypatch, run)
+    assert inputs
+    for i, j in inputs:
+        _assert_agrees_with_chain(i, j)
+
+
+_LOW_MONOMIALS = [
+    (a, b, c) for a in range(4) for b in range(4) for c in range(4) if 0 < a + b + c <= 3
+]
+
+
+def _random_affine_ideal(rng):
+    # 1-3 generators of degree <= 3 with a nonzero constant term, each times t^a
+    vs = varset("t,x,y")
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {(0, 0, 0): rng.choice((-3, -2, -1, 1, 2, 3))}
+        for e in rng.sample(_LOW_MONOMIALS, rng.randint(1, 3)):
+            terms[e] = rng.randint(-3, 3) or 1
+        a = rng.randint(0, 3)
+        gens.append(Polynomial.from_terms(vs, {(e[0] + a,) + e[1:]: c for e, c in terms.items()}))
+    return ideal(vs, gens)
+
+
+def test_saturate_agrees_with_the_quotient_chain_on_random_affine_ideals():
+    rng = random.Random(1)
+    j = make_ideal("t,x,y", "t")
+    for _ in range(40):
+        _assert_agrees_with_chain(_random_affine_ideal(rng), j)
