@@ -187,7 +187,10 @@ def saturate(i: IdealPresentation, j: IdealPresentation) -> SaturationResult:
         return SaturationResult(i, 0, groebner_basis(i))
     monomials = list(j.generators[0].terms) if len(j.generators) == 1 else []
     if len(monomials) != 1 or sum(monomials[0]) != 1:
-        raise ValueError("saturate supports only j = <x_k> for one variable x_k, or a unit j")
+        raise ValueError(
+            "saturate supports only j = <x_k> for one variable x_k, "
+            "or a j with a constant generator"
+        )
     if not i.generators:
         return SaturationResult(i, 0, groebner_basis(i))
     k = monomials[0].index(1)
@@ -197,9 +200,8 @@ def saturate(i: IdealPresentation, j: IdealPresentation) -> SaturationResult:
     homogeneous = []
     for g in i.generators:
         d = max(map(sum, g.terms))
-        homogeneous.append(
-            Polynomial(ext, {e[:k] + e[k + 1 :] + (d - sum(e), e[k]): c for e, c in g.terms.items()})
-        )
+        terms = {e[:k] + e[k + 1 :] + (d - sum(e), e[k]): c for e, c in g.terms.items()}
+        homogeneous.append(Polynomial(ext, terms))
     # each basis element is homogeneous, so its x-exponents fix its h-exponent
     # and no two terms merge when h is set to 1
     limit = []
@@ -207,9 +209,8 @@ def saturate(i: IdealPresentation, j: IdealPresentation) -> SaturationResult:
     for g in buchberger(homogeneous, GREVLEX).basis:
         m = min(e[-1] for e in g.terms)
         iterations = max(iterations, m)
-        limit.append(
-            Polynomial(i.variables, {e[:k] + (e[-1] - m,) + e[k:-2]: c for e, c in g.terms.items()})
-        )
+        terms = {e[:k] + (e[-1] - m,) + e[k:-2]: c for e, c in g.terms.items()}
+        limit.append(Polynomial(i.variables, terms))
     saturated = ideal(i.variables, limit)
     return SaturationResult(saturated, iterations, groebner_basis(saturated))
 

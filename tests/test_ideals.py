@@ -217,7 +217,7 @@ def test_saturate_names_h_apart_from_the_ring():
 
 
 # ---------------------------------------------------------------------------
-# agreement with the quotient chain i ⊆ i : j ⊆ i : j^2 ⊆ ... it replaced
+# agreement with the reference quotient chain i ⊆ i : j ⊆ i : j^2 ⊆ ...
 
 
 def _chain_saturation(i, j):
