@@ -78,8 +78,9 @@ class BlowupChart:
     pullbacks[i] expresses original variable i in this chart's coordinates;
     dedup_constraints select first-nonzero-coordinate representatives, both
     composed through every blow-up and translation on the way here.  depth
-    counts the blow-ups performed; the identity chart of an unresolved smooth
-    origin has depth 0 and no exceptional generator.
+    counts the blow-ups performed.  Chart k of a blow-up has exceptional
+    divisor chart_variables.names[k]; the identity chart, the root of every
+    resolution, has depth 0 and chart_index -1.
 
     Two computed companions ride along without taking part in comparisons:
     strict_basis, the reduced GREVLEX basis of strict_ideal that saturation
@@ -90,7 +91,6 @@ class BlowupChart:
     chart_index: int
     chart_variables: VariableSet
     strict_ideal: IdealPresentation
-    exceptional_generator: str | None
     pullbacks: tuple[Polynomial, ...]
     depth: int
     dedup_constraints: tuple[Polynomial, ...] = ()
@@ -132,15 +132,14 @@ def _hat_names(names: Sequence[str], keep: int) -> VariableSet:
 
 
 def _check_pullback_soundness(chart: BlowupChart, original: IdealPresentation) -> None:
-    # every original generator must land in the strict ideal once the chart
-    # substitution is applied; violating this means the bookkeeping broke
-    gb = chart.strict_basis
+    """Each generator of original, pulled back, must reduce to 0 mod strict_basis.
+
+    blowup_origin checks fresh charts against the ideal it blew up; the
+    resolution checks composed charts below the root against the original.
+    """
     for g in original.generators:
         image = ring_map(g, chart.chart_variables, list(chart.pullbacks))
-        if gb.is_zero_ideal():
-            if not image.is_zero():
-                raise AssertionError("pullback of a generator escapes the strict ideal")
-        elif not normal_form(image, gb).is_zero():
+        if not normal_form(image, chart.strict_basis).is_zero():
             raise AssertionError("pullback of a generator escapes the strict ideal")
 
 
@@ -151,9 +150,8 @@ def blowup_origin(i: IdealPresentation) -> list[BlowupChart]:
     variable x_k, whose vanishing is the exceptional divisor.
     """
     n = len(i.variables)
-    for g in i.generators:
-        if g.constant_term() != 0:
-            raise OriginNotOnVariety("a generator does not vanish at the origin")
+    if any(g.constant_term() != 0 for g in i.generators):
+        raise OriginNotOnVariety("a generator does not vanish at the origin")
     charts = []
     for k in range(n):
         chart_vars = _hat_names(i.variables.names, k)
@@ -168,12 +166,9 @@ def blowup_origin(i: IdealPresentation) -> list[BlowupChart]:
             chart_index=k,
             chart_variables=chart_vars,
             strict_ideal=strict.ideal,
-            exceptional_generator=chart_vars.names[k],
             pullbacks=tuple(images),
             depth=1,
-            dedup_constraints=tuple(
-                Polynomial.variable(chart_vars, idx) for idx in range(k)
-            ),
+            dedup_constraints=tuple(Polynomial.variable(chart_vars, idx) for idx in range(k)),
             strict_basis=strict.basis,
         )
         _check_pullback_soundness(chart, i)
@@ -194,15 +189,9 @@ def fiber_ideal(chart: BlowupChart, dedup: bool) -> IdealPresentation:
 
 
 def _identity_chart(i: IdealPresentation) -> BlowupChart:
+    pullbacks = tuple(Polynomial.variable(i.variables, idx) for idx in range(len(i.variables)))
     return BlowupChart(
-        chart_index=-1,
-        chart_variables=i.variables,
-        strict_ideal=i,
-        exceptional_generator=None,
-        pullbacks=tuple(
-            Polynomial.variable(i.variables, idx) for idx in range(len(i.variables))
-        ),
-        depth=0,
+        chart_index=-1, chart_variables=i.variables, strict_ideal=i, pullbacks=pullbacks, depth=0
     )
 
 
@@ -217,13 +206,13 @@ def resolve_curve(
     max_depth: int = 6,
     *,
     certificate: RadicalityCertificate | None = None,
-    assume_radical: bool = False,
 ) -> SmoothModel:
     """Resolve the curve at the origin by iterated point blow-ups.
 
     Smooth input is tolerated: it returns a depth-0 model whose single chart
     is the identity (the jacobian criterion, with the one computed dimension).
-    The dimension is taken from the certificate when it carries one.
+    The certificate, computed when absent, must be known (USER_ASSERTED_RADICALITY
+    asserts radicality); its dimension is used when it carries one.
     Recursion only passes through rational singular fiber points; a
     non-rational one aborts with the zero-dimensional ideal that isolates it.
     """
@@ -233,66 +222,56 @@ def resolve_curve(
         dimension = krull_dimension(i)
     if dimension != 1:
         raise NotACurve(dimension)
-    if certificate is None and not assume_radical:
+    if certificate is None:
         certificate = radicality_certificate(i)
-    for g in i.generators:
-        if g.constant_term() != 0:
-            raise OriginNotOnVariety("the origin is not on the variety")
-    if not assume_radical and not certificate.known:
-        raise DimensionUnknown("radicality not certified; pass assume_radical to assert it")
+    if any(g.constant_term() != 0 for g in i.generators):
+        raise OriginNotOnVariety("the origin is not on the variety")
+    if not certificate.known:
+        raise DimensionUnknown("radicality not certified; pass USER_ASSERTED_RADICALITY")
     n = len(i.variables)
     if rank_at(jacobian(i), [Q(0)] * n) == n - 1:
         return SmoothModel((_identity_chart(i),))
     leaves: list[BlowupChart] = []
-    identity = _identity_chart(i)
-    _resolve_chart(i, identity, 0, max_depth, leaves, i)
+    _resolve_chart(_identity_chart(i), max_depth, leaves, i)
     return SmoothModel(tuple(leaves))
 
 
 def _compose_chart(previous: BlowupChart, chart: BlowupChart) -> BlowupChart:
-    images = list(chart.pullbacks)
-    target = chart.chart_variables
-    return BlowupChart(
-        chart_index=chart.chart_index,
-        chart_variables=target,
-        strict_ideal=chart.strict_ideal,
-        exceptional_generator=chart.exceptional_generator,
+    target, images = chart.chart_variables, list(chart.pullbacks)
+    return replace(
+        chart,
         pullbacks=tuple(ring_map(p, target, images) for p in previous.pullbacks),
         depth=previous.depth + 1,
         dedup_constraints=tuple(ring_map(q, target, images) for q in previous.dedup_constraints)
         + chart.dedup_constraints,
-        strict_basis=chart.strict_basis,
     )
 
 
 def _translate_chart(chart: BlowupChart, point: Sequence[Fraction]) -> BlowupChart:
-    return BlowupChart(
-        chart_index=chart.chart_index,
-        chart_variables=chart.chart_variables,
+    # the saturation basis belongs to the untranslated strict ideal
+    return replace(
+        chart,
         strict_ideal=IdealPresentation(
             chart.chart_variables,
             tuple(g.translate(point) for g in chart.strict_ideal.generators),
         ),
-        exceptional_generator=None,
         pullbacks=tuple(p.translate(point) for p in chart.pullbacks),
-        depth=chart.depth,
         dedup_constraints=tuple(q.translate(point) for q in chart.dedup_constraints),
+        strict_basis=None,
     )
 
 
 def _resolve_chart(
-    current: IdealPresentation,
-    state: BlowupChart,
-    depth: int,
-    max_depth: int,
-    leaves: list[BlowupChart],
-    original: IdealPresentation,
+    state: BlowupChart, max_depth: int, leaves: list[BlowupChart], original: IdealPresentation
 ) -> None:
-    if depth >= max_depth:
+    if state.depth >= max_depth:
         raise DepthExceeded(max_depth)
-    for raw in blowup_origin(current):
-        chart = _compose_chart(state, raw)
-        _check_pullback_soundness(chart, original)
+    for chart in blowup_origin(state.strict_ideal):
+        # at the root, blowup_origin has already checked against the original
+        # ideal and composing with the identity is a no-op
+        if state.depth > 0:
+            chart = _compose_chart(state, chart)
+            _check_pullback_soundness(chart, original)
         algebra = _fiber_algebra(chart)
         singular = _singular_fiber(chart, algebra)
         if singular is None:
@@ -301,9 +280,7 @@ def _resolve_chart(
         points, all_rational = rational_points(singular)
         if not all_rational:
             raise IrrationalSingularFiberPoint(singular)
-        center = points[0]
-        moved = _translate_chart(chart, center)
-        _resolve_chart(moved.strict_ideal, moved, depth + 1, max_depth, leaves, original)
+        _resolve_chart(_translate_chart(chart, points[0]), max_depth, leaves, original)
 
 
 def _algebra(i: IdealPresentation) -> ZeroDimAlgebra:

@@ -120,9 +120,7 @@ def classify_point(
 
     # resolve_curve checks the dimension once and takes the smooth shortcut
     try:
-        model: SmoothModel = resolve_curve(
-            at_origin, max_depth, certificate=cert, assume_radical=assume_radical
-        )
+        model: SmoothModel = resolve_curve(at_origin, max_depth, certificate=cert)
         if model.depth == 0:
             return Classification(
                 Verdict.SMOOTH_MANIFOLD_POINT,

@@ -300,17 +300,16 @@ def ideal_membership(f: Polynomial, ideal, order: MonomialOrder = GREVLEX) -> bo
     """True iff f reduces to zero modulo a Groebner basis of the ideal.
 
     Accepts an IdealPresentation, a GroebnerBasis, or a plain generator
-    sequence.
+    sequence; with no generators the ideal is zero and only f = 0 lies in it.
     """
-    if isinstance(ideal, GroebnerBasis):
-        gb = ideal
-    else:
-        gens = getattr(ideal, "generators", ideal)
-        gb = buchberger(list(gens), order)
     if f.is_zero():
         return True
-    if gb.is_zero_ideal():
-        return False
+    gb = ideal
+    if not isinstance(gb, GroebnerBasis):
+        gens = list(getattr(ideal, "generators", ideal))
+        if not gens:
+            return False
+        gb = buchberger(gens, order)
     return normal_form(f, gb).is_zero()
 
 

@@ -17,10 +17,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import NoStabilization, NotACurve, PointNotOnVariety
-from .ideals import IdealPresentation, ideal, is_unit_ideal, krull_dimension
+from .ideals import IdealPresentation, basis_dimension, groebner_basis, ideal, krull_dimension
 from .polynomials import Polynomial
 from .singular import is_on_variety
-from .zerodim import build, count_points
+from .zerodim import algebra_from_basis, count_points
 
 Q = Fraction
 
@@ -69,13 +69,12 @@ def halfbranch_count(
         raise NotACurve(dimension)
     previous: int | None = None
     for radius in schedule:
-        probe = sphere_probe(i, point, radius)
-        if is_unit_ideal(probe.probe_ideal):
-            current = 0
-        else:
-            if krull_dimension(probe.probe_ideal) != 0:
-                continue  # degenerate radius
-            current = count_points(build(probe.probe_ideal)).real_distinct
+        probe = sphere_probe(i, point, radius).probe_ideal
+        gb = groebner_basis(probe)
+        if basis_dimension(gb, len(i.variables)) > 0:
+            continue  # degenerate radius
+        # the unit ideal gives the zero algebra: no points
+        current = count_points(algebra_from_basis(probe, gb)).real_distinct
         if previous is not None and current == previous:
             return current
         previous = current

@@ -82,7 +82,7 @@ def test_exceptional_generator_is_nonzerodivisor(node):
     for chart in blowup_origin(node):
         exc = ideal(
             chart.chart_variables,
-            (parse_polynomial(chart.exceptional_generator, chart.chart_variables),),
+            (chart_poly(chart.chart_variables.names[chart.chart_index], chart),),
         )
         assert ideal_equal(quotient(chart.strict_ideal, exc), chart.strict_ideal)
 
@@ -105,6 +105,39 @@ def test_pullback_soundness_check_rejects_broken_bookkeeping(node):
         swapped = replace(chart, pullbacks=chart.pullbacks[::-1])
         with pytest.raises(AssertionError):
             _check_pullback_soundness(swapped, node)
+
+
+def test_root_charts_are_checked_once(monkeypatch, node):
+    # blowup_origin checks each root chart against the original ideal itself;
+    # the resolution adds a composed check only below the root
+    from realcurve import blowup
+
+    calls = []
+    original = blowup._check_pullback_soundness
+
+    def counting(chart, ideal_):
+        calls.append(chart.depth)
+        original(chart, ideal_)
+
+    monkeypatch.setattr(blowup, "_check_pullback_soundness", counting)
+    assert resolve_curve(node).depth == 1
+    assert calls == [1, 1]
+
+
+def test_composed_check_below_the_root_catches_broken_composition(monkeypatch):
+    from dataclasses import replace
+
+    from realcurve import blowup
+
+    original = blowup._compose_chart
+
+    def reversed_pullbacks(previous, chart):
+        composed = original(previous, chart)
+        return replace(composed, pullbacks=composed.pullbacks[::-1])
+
+    monkeypatch.setattr(blowup, "_compose_chart", reversed_pullbacks)
+    with pytest.raises(AssertionError, match="escapes the strict ideal"):
+        resolve_curve(make_ideal("x,y", TACNODE_CHAIN))
 
 
 def test_dedup_constraints_shape(node):
@@ -178,7 +211,7 @@ def test_blowup_of_smooth_origin_recovers_single_reduced_point(node):
 
     moved = translate_ideal(node, [-1, 0])
     leaves = []
-    _resolve_chart(moved, _identity_chart(moved), 0, 6, leaves, moved)
+    _resolve_chart(_identity_chart(moved), 6, leaves, moved)
     summary = fiber_summary(SmoothModel(tuple(leaves)))
     assert (summary.real_points, summary.nonreduced_real_points) == (1, 0)
 
@@ -312,7 +345,6 @@ def test_leaf_check_needs_the_span_of_several_minors():
         chart_index=0,
         chart_variables=strict.variables,
         strict_ideal=strict,
-        exceptional_generator=None,
         pullbacks=(poly("x + y - 1"),),
         depth=1,
         strict_basis=groebner_basis(strict),

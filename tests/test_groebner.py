@@ -74,6 +74,12 @@ def test_membership_basics():
     assert ideal_membership(node, [node])
 
 
+@pytest.mark.parametrize("zero", [ideal(varset("x,y"), ()), []], ids=["presentation", "list"])
+def test_membership_in_the_zero_ideal(zero):
+    assert ideal_membership(poly("0"), zero)
+    assert not ideal_membership(poly("x"), zero)
+
+
 def test_groebner_self_check_passes_on_output():
     gens = [poly("x^2 + y^2 - 1"), poly("xy - 2")]
     for order in (LEX, GREVLEX):

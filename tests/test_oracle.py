@@ -32,6 +32,28 @@ def test_isolated_point_has_none():
     assert halfbranch_count(make_ideal("x,y", "x^2 + y^2"), [0, 0]) == 0
 
 
+def test_one_basis_for_the_curve_and_one_per_radius(monkeypatch, node):
+    import realcurve.ideals as ideals_module
+    from realcurve import oracle
+
+    bases, probes = [], []
+    original_buchberger, original_probe = ideals_module.buchberger, oracle.sphere_probe
+
+    def counting(gens, order):
+        bases.append(order)
+        return original_buchberger(gens, order)
+
+    def probing(i, point, radius):
+        probes.append(radius)
+        return original_probe(i, point, radius)
+
+    monkeypatch.setattr(ideals_module, "buchberger", counting)
+    monkeypatch.setattr(oracle, "sphere_probe", probing)
+    assert halfbranch_count(node, [0, 0], [Q(1, 3), Q(1, 4), Q(1, 8)]) == 4
+    assert len(probes) >= 2
+    assert len(bases) == 1 + len(probes)
+
+
 @pytest.mark.parametrize("radii", [[0, 0], [Q(1, 4), Q(-1, 8)], [Q(1, 2), 0]])
 def test_non_positive_radius_rejected(node, radii):
     # a zero radius meets the node only at the point itself and used to read 1
