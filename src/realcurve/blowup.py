@@ -48,7 +48,6 @@ from .ideals import (
     groebner_basis,
     ideal,
     ideal_sum,
-    krull_dimension,
     saturate,
 )
 from .polynomials import Polynomial, VariableSet, ring_map
@@ -210,24 +209,22 @@ def resolve_curve(
     """Resolve the curve at the origin by iterated point blow-ups.
 
     Smooth input is tolerated: it returns a depth-0 model whose single chart
-    is the identity (the jacobian criterion, with the one computed dimension).
-    The certificate, computed when absent, must be known (USER_ASSERTED_RADICALITY
-    asserts radicality); its dimension is used when it carries one.
+    is the identity (the jacobian criterion).  The certificate, computed when
+    absent, supplies the dimension and must be known.
     Recursion only passes through rational singular fiber points; a
     non-rational one aborts with the zero-dimensional ideal that isolates it.
     """
     check_max_depth(max_depth)
-    dimension = None if certificate is None else certificate.dimension
-    if dimension is None:
-        dimension = krull_dimension(i)
-    if dimension != 1:
-        raise NotACurve(dimension)
     if certificate is None:
         certificate = radicality_certificate(i)
+    if certificate.dimension != 1:
+        raise NotACurve(certificate.dimension)
     if any(g.constant_term() != 0 for g in i.generators):
         raise OriginNotOnVariety("the origin is not on the variety")
     if not certificate.known:
-        raise DimensionUnknown("radicality not certified; pass USER_ASSERTED_RADICALITY")
+        raise DimensionUnknown(
+            "radicality not certified; classify_point(..., assume_radical=True) asserts it"
+        )
     n = len(i.variables)
     if rank_at(jacobian(i), [Q(0)] * n) == n - 1:
         return SmoothModel((_identity_chart(i),))

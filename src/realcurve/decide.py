@@ -16,7 +16,7 @@ trace-form signatures, so realness over R is captured without ever leaving Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -29,8 +29,9 @@ from .errors import (
 )
 from .ideals import IdealPresentation, ideal
 from .singular import (
-    USER_ASSERTED_RADICALITY,
     RadicalityCertificate,
+    RadicalityReason,
+    RadicalityVerdict,
     is_on_variety,
     radicality_certificate,
 )
@@ -103,7 +104,10 @@ def classify_point(
     cert = radicality_certificate(at_origin)
     if not cert.known:
         if assume_radical:
-            cert = USER_ASSERTED_RADICALITY
+            # the assertion keeps the dimension the certificate computed
+            cert = replace(
+                cert, verdict=RadicalityVerdict.RADICAL, reason=RadicalityReason.USER_ASSERTED
+            )
         else:
             return Classification(
                 Verdict.INCONCLUSIVE,

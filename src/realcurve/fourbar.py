@@ -19,7 +19,7 @@ from fractions import Fraction
 from .blowup import check_max_depth
 from .decide import Classification, classify_point
 from .errors import InvalidParams, NotSingularFamily
-from .ideals import IdealPresentation, ideal, krull_dimension
+from .ideals import IdealPresentation, ideal
 from .polynomials import Polynomial, VariableSet
 from .singular import is_on_variety
 
@@ -113,14 +113,12 @@ def analyze_fourbar(
     i = fourbar_ideal(params)
     point = grashof_singular_point(params)
     classification = classify_point(i, point, max_depth=max_depth)
-    cert = classification.certificate
+    radicality = classification.certificate.radicality
     return FourBarAnalysis(
         params=params,
         ideal=i,
         point=point,
         classification=classification,
-        ideal_dimension=cert.dimension if cert.dimension is not None else krull_dimension(i),
-        singular_locus_dimension=(
-            cert.radicality.singular_locus_dimension if cert.radicality else None
-        ),
+        ideal_dimension=radicality.dimension,
+        singular_locus_dimension=radicality.singular_locus_dimension,
     )

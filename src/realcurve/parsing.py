@@ -246,10 +246,6 @@ def parse_ideal(text: str) -> IdealPresentation:
 # printing
 
 
-def _format_coefficient(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def polynomial_to_string(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
     if f.is_zero():
         return "0"
@@ -263,7 +259,7 @@ def polynomial_to_string(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
                 factors.append(f"{name}^{k}")
         abs_c = abs(c)
         if not factors or abs_c != 1:
-            factors.insert(0, _format_coefficient(abs_c))
+            factors.insert(0, str(abs_c))
         body = "*".join(factors)
         if not parts:
             parts.append(body if c > 0 else f"-{body}")

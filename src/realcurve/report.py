@@ -27,10 +27,6 @@ VERDICT_KEYS = (
 )
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def build_report(
     classification: Classification,
     ideal: IdealPresentation,
@@ -48,7 +44,7 @@ def build_report(
         "input": {
             "variables": ",".join(ideal.variables.names),
             "generators": [polynomial_to_string(g) for g in ideal.generators],
-            "point": ",".join(_fraction_str(Fraction(c)) for c in point),
+            "point": ",".join(str(Fraction(c)) for c in point),
             "options": dict(options),
         },
         "verdict": classification.verdict.label,

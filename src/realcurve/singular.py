@@ -109,11 +109,10 @@ def minors_ideal(m: JacobianMatrix, r: int) -> IdealPresentation:
     return ideal(variables, gens)
 
 
-def _equidimensionality_certified(i: IdealPresentation, dim: int) -> bool:
-    # principal nonzero ideals are unmixed of codimension 1; complete
-    # intersections are equidimensional by Cohen-Macaulay unmixedness
-    if len(i.generators) == 1:
-        return True
+def _is_complete_intersection(i: IdealPresentation, dim: int) -> bool:
+    # codimension equal to the generator count; such an ideal is unmixed
+    # (Cohen-Macaulay), so equidimensional, and a nonconstant principal
+    # ideal is one
     return dim >= 0 and len(i.generators) == len(i.variables) - dim
 
 
@@ -129,7 +128,7 @@ def singular_locus_ideal(
     dim = krull_dimension(i)
     if dim == -1:
         return ideal(i.variables, (Polynomial.one(i.variables),))
-    if not assume_equidimensional and not _equidimensionality_certified(i, dim):
+    if not assume_equidimensional and not _is_complete_intersection(i, dim):
         raise DimensionUnknown(
             "equidimensionality not certified; pass assume_equidimensional if known"
         )
@@ -154,58 +153,45 @@ class RadicalityReason(Enum):
 class RadicalityCertificate:
     verdict: RadicalityVerdict
     reason: RadicalityReason
+    # Krull dimension of the ideal, known on every route
+    dimension: int
     # populated by the complete-intersection route, handy for reports
     singular_locus_dimension: int | None = None
-    # Krull dimension of the ideal, when a certified route already knows it
-    dimension: int | None = None
 
     @property
     def known(self) -> bool:
         return self.verdict is not RadicalityVerdict.UNKNOWN
 
-    @property
-    def covers_equidimensionality(self) -> bool:
-        # a nonzero principal ideal is unmixed, so both certified reasons
-        # imply equidimensionality
-        return self.reason in (
-            RadicalityReason.PRINCIPAL_SQUAREFREE,
-            RadicalityReason.COMPLETE_INTERSECTION_ZERO_DIM_SING_LOCUS,
-        )
-
-
-UNKNOWN_RADICALITY = RadicalityCertificate(RadicalityVerdict.UNKNOWN, RadicalityReason.NONE)
-
-USER_ASSERTED_RADICALITY = RadicalityCertificate(
-    RadicalityVerdict.RADICAL, RadicalityReason.USER_ASSERTED
-)
-
 
 def radicality_certificate(i: IdealPresentation) -> RadicalityCertificate:
-    """Sufficient radicality checks; Unknown when neither route applies."""
+    """Sufficient radicality checks; Unknown when neither route applies.
+
+    Every certificate carries the Krull dimension of i: a principal ideal
+    reads it off its generator, any other ideal needs one Groebner basis.
+    """
     gens = i.generators
     if len(gens) == 1:
         f = gens[0]
+        # a nonconstant f cuts out a hypersurface, a constant one nothing
+        dim = -1 if f.is_constant() else len(i.variables) - 1
         if squarefree_part(f) == f.primitive():
-            # a nonconstant f cuts out a hypersurface, a constant one nothing
             return RadicalityCertificate(
-                RadicalityVerdict.RADICAL,
-                RadicalityReason.PRINCIPAL_SQUAREFREE,
-                dimension=-1 if f.is_constant() else len(i.variables) - 1,
+                RadicalityVerdict.RADICAL, RadicalityReason.PRINCIPAL_SQUAREFREE, dim
             )
-        return UNKNOWN_RADICALITY
+        return RadicalityCertificate(RadicalityVerdict.UNKNOWN, RadicalityReason.NONE, dim)
     dim = krull_dimension(i)
-    if dim >= 0 and len(gens) == len(i.variables) - dim:
-        # a complete intersection: its codimension is its generator count
+    if _is_complete_intersection(i, dim):
+        # its codimension is its generator count
         sing = ideal_sum(i, minors_ideal(jacobian(i), len(gens)))
         sing_dim = krull_dimension(sing)
         if sing_dim < dim:
             return RadicalityCertificate(
                 RadicalityVerdict.RADICAL_EQUIDIMENSIONAL,
                 RadicalityReason.COMPLETE_INTERSECTION_ZERO_DIM_SING_LOCUS,
+                dim,
                 singular_locus_dimension=sing_dim,
-                dimension=dim,
             )
-    return UNKNOWN_RADICALITY
+    return RadicalityCertificate(RadicalityVerdict.UNKNOWN, RadicalityReason.NONE, dim)
 
 
 def is_on_variety(i: IdealPresentation, point: Sequence) -> bool:
@@ -232,5 +218,4 @@ def is_smooth_at(
         raise DimensionUnknown(
             "radicality not certified; pass assume_radical to assert it"
         )
-    dim = krull_dimension(i)
-    return rank_at(jacobian(i), point) == len(i.variables) - dim
+    return rank_at(jacobian(i), point) == len(i.variables) - certificate.dimension

@@ -166,47 +166,29 @@ def generating_operators(
     return enlarging
 
 
-def _monomial_operator_traces(algebra: ZeroDimAlgebra) -> dict[Exponent, Fraction]:
-    """Trace of multiplication by each basis monomial, by chained products."""
-    d = algebra.dimension
-    mats: dict[Exponent, RationalMatrix] = {}
-    traces: dict[Exponent, Fraction] = {}
-    for e in algebra.basis:  # grevlex-ascending, so divisors come first
-        if not any(e):
-            mats[e] = RationalMatrix.identity(d)
-        else:
-            var = next(i for i, x in enumerate(e) if x)
-            parent = list(e)
-            parent[var] -= 1
-            mats[e] = mats[tuple(parent)] * algebra.mult_matrices[var]
-        traces[e] = mats[e].trace()
-    return traces
-
-
 def trace_form(algebra: ZeroDimAlgebra) -> RationalMatrix:
-    """Hermite bilinear form B[i][j] = Trace(multiplication by b_i * b_j)."""
-    d = algebra.dimension
-    traces = _monomial_operator_traces(algebra)
-    nf_cache: dict[Exponent, Fraction] = {}
+    """Hermite bilinear form B[i][j] = Trace(multiplication by b_i * b_j).
 
-    def trace_of_monomial(e: Exponent) -> Fraction:
-        got = traces.get(e)
-        if got is not None:
-            return got
-        got = nf_cache.get(e)
-        if got is not None:
-            return got
-        mono = Polynomial.from_terms(algebra.ideal.variables, {e: 1})
-        nf = normal_form(mono, algebra.gb)
-        val = nf.content * sum(c * traces[te] for te, c in nf.terms.items())
-        nf_cache[e] = val
-        return val
+    Read off the structure constants: with b_i * b_j = sum_k c_ij[k] * b_k,
+    multiplication by b_k has trace sum_j c_kj[j], and B[i][j] is
+    sum_k c_ij[k] * Trace(b_k) by linearity.
+    """
+    basis, d = algebra.basis, algebra.dimension
+    index = {e: k for k, e in enumerate(basis)}
+    normal_forms: dict[Exponent, dict[int, Fraction]] = {}
 
-    entries = []
-    for i in range(d):
-        for j in range(d):
-            e = tuple(x + y for x, y in zip(algebra.basis[i], algebra.basis[j]))
-            entries.append(trace_of_monomial(e))
+    def coordinates(e: Exponent) -> dict[int, Fraction]:
+        if e in index:
+            return {index[e]: Q(1)}
+        got = normal_forms.get(e)
+        if got is None:
+            nf = normal_form(Polynomial.from_terms(algebra.ideal.variables, {e: 1}), algebra.gb)
+            got = normal_forms[e] = {index[te]: nf.content * c for te, c in nf.terms.items()}
+        return got
+
+    table = [[coordinates(tuple(x + y for x, y in zip(a, b))) for b in basis] for a in basis]
+    traces = [sum((row[j].get(j, 0) for j in range(d)), Q(0)) for row in table]
+    entries = (sum((c * traces[k] for k, c in cell.items()), Q(0)) for row in table for cell in row)
     return RationalMatrix(d, d, tuple(entries))
 
 

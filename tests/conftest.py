@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -37,3 +38,19 @@ def node() -> IdealPresentation:
 @pytest.fixture
 def cusp() -> IdealPresentation:
     return make_ideal("x,y", "y^2 - x^3")
+
+
+@pytest.fixture
+def buchberger_inputs(monkeypatch) -> Counter:
+    """How often each (generators, order) input reaches Buchberger from here on."""
+    import realcurve.ideals as ideals_module
+
+    calls: Counter = Counter()
+    original = ideals_module.buchberger
+
+    def counting(gens, order):
+        calls[tuple(gens), str(order)] += 1
+        return original(gens, order)
+
+    monkeypatch.setattr(ideals_module, "buchberger", counting)
+    return calls

@@ -409,6 +409,14 @@ def test_strict_transform_basis_comes_from_saturation_only(monkeypatch):
         assert outside[chart.strict_ideal.generators, "grevlex"] == 0
 
 
+def test_resolution_without_a_certificate_repeats_no_basis(buchberger_inputs):
+    # the certificate computed up front supplies the dimension, so nothing
+    # reduces the curve a second time to find it
+    resolve_curve(make_ideal("x,y,z", "y^2 - x^2 - x^3", "z - x*y"))
+    assert sum(buchberger_inputs.values()) == 11
+    assert set(buchberger_inputs.values()) == {1}
+
+
 # ---------------------------------------------------------------------------
 # the non-reduced locus read off the full fiber algebra
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from realcurve import Verdict, classify_point, translate_ideal
+from realcurve import RadicalityReason, Verdict, classify_point, translate_ideal
 from realcurve.decide import decide_from_fiber
 from realcurve.errors import PointNotOnVariety
 
@@ -176,6 +176,18 @@ def test_dimension_of_the_moved_ideal_is_computed_once(monkeypatch, case, expect
     c = classify_point(i, point)
     assert c.certificate.dimension == 1 and c.certificate.blowup_depth >= 1
     assert sum(calls) == expected
+
+
+def test_asserted_radicality_keeps_the_computed_dimension(buchberger_inputs):
+    # the twisted cubic is no complete intersection, so its certificate is
+    # Unknown; asserting radicality keeps the dimension that certificate
+    # computed from the one basis of the moved ideal
+    i = make_ideal("x,y,z", "y - x^2", "z - x*y", "x*z - y^2")
+    c = classify_point(i, [0, 0, 0], assume_radical=True)
+    assert c.verdict is Verdict.SMOOTH_MANIFOLD_POINT
+    assert c.certificate.radicality.reason is RadicalityReason.USER_ASSERTED
+    assert c.certificate.radicality.dimension == c.certificate.dimension == 1
+    assert sum(buchberger_inputs.values()) == 1
 
 
 def test_non_curves_report_their_dimension():

@@ -109,18 +109,37 @@ def test_certificate_principal_squarefree():
     cert = radicality_certificate(make_ideal("x,y", "y^3 + 2x^2y - x^4"))
     assert cert.verdict is RadicalityVerdict.RADICAL
     assert cert.reason is RadicalityReason.PRINCIPAL_SQUAREFREE
-    assert cert.covers_equidimensionality
+    assert cert.dimension == 1
 
 
 def test_certificate_unknown_for_nonradical():
     cert = radicality_certificate(make_ideal("x,y", "x^2", "xy"))
     assert cert.verdict is RadicalityVerdict.UNKNOWN
     assert cert.reason is RadicalityReason.NONE
+    assert cert.dimension == 1
 
 
-def test_certificate_unknown_for_fat_principal():
+def test_certificate_unknown_for_fat_principal(buchberger_inputs):
     cert = radicality_certificate(make_ideal("x,y", "x^2"))
     assert cert.verdict is RadicalityVerdict.UNKNOWN
+    # a principal ideal's dimension needs no basis
+    assert cert.dimension == 1
+    assert not buchberger_inputs
+
+
+def test_certificate_of_a_constant_has_dimension_minus_one():
+    cert = radicality_certificate(make_ideal("x,y", "3"))
+    assert cert.known
+    assert cert.dimension == -1
+
+
+def test_smoothness_reads_the_certificates_dimension(buchberger_inputs):
+    # one basis for the curve's dimension and one for its singular locus;
+    # the jacobian criterion itself runs none
+    i = make_ideal("x,y,z", "y^2 - x^2 - x^3", "z - x*y")
+    assert not is_smooth_at(i, [0, 0, 0])
+    assert sum(buchberger_inputs.values()) == 2
+    assert set(buchberger_inputs.values()) == {1}
 
 
 def test_principal_squarefree_singular_locus_is_small():

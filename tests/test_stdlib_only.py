@@ -82,3 +82,19 @@ def test_cycle_finder_reports_a_cycle():
     edges = {"linalg": {"groebner"}, "groebner": {"polynomials"}, "polynomials": {"linalg"}}
     assert _find_cycle(edges) == ["groebner", "polynomials", "linalg", "groebner"]
     assert _find_cycle({"a": {"b"}, "b": set()}) is None
+
+
+def test_only_singular_decides_the_moved_ideals_dimension():
+    # the radicality certificate carries the Krull dimension; the modules
+    # downstream of it read it there instead of computing it again
+    for name in ("blowup", "fourbar", "decide"):
+        tree = ast.parse((SOURCE / f"{name}.py").read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        assert "krull_dimension" not in names, name

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from realcurve import (
+    Polynomial,
     build,
     count_points,
     eliminant,
@@ -155,6 +156,32 @@ def test_trace_form_agrees_with_sturm():
         counts = count_points(build(i))
         assert counts.real_distinct == sturm_real_root_count(f)
         done += 1
+
+
+TRACE_FORM_IDEALS = [
+    ("x,y", "x^2", "y^2"),
+    ("x,y", "x^2 - 2", "y^2 - x"),
+    ("x,y", "x^2 - 2", "y^2 - 3"),
+    ("x,y", "y^2 - x^3", "x*y", "x^4"),
+    ("x,y", "3x^2 - 1", "2y^3 - x*y + 2"),
+    ("x,y,z", "x^2 - y", "y^2 - z", "z^2 - x"),
+    ("x,y,z", "x^2", "y^2 - x*z", "z^2 + y - 1"),
+]
+
+
+@pytest.mark.parametrize("gens", TRACE_FORM_IDEALS, ids=lambda g: "; ".join(g[1:]))
+def test_trace_form_entries_are_traces_of_products(gens):
+    from realcurve.zerodim import trace_form
+
+    a = build(make_ideal(*gens))
+    b = trace_form(a)
+    assert b.rows == b.cols == a.dimension > 1
+    for i, bi in enumerate(a.basis):
+        for j, bj in enumerate(a.basis):
+            product = Polynomial.from_terms(
+                a.ideal.variables, {tuple(x + y for x, y in zip(bi, bj)): 1}
+            )
+            assert b.at(i, j) == a.operator(product).trace()
 
 
 def test_minimal_polynomial_annihilates_and_divides_charpoly():
