@@ -1,20 +1,22 @@
-"""Exact rational linear algebra and univariate real-root counting.
+"""Exact rational linear algebra and univariate real-root counting and isolation.
 
 Coefficients are `fractions.Fraction` throughout, so every result is exact;
 there are no floating-point code paths anywhere in this module.  Univariate
 polynomials are one-variable `Polynomial`s: characteristic polynomials live in
-the ring Z_RING, and the Sturm counts accept any one-variable ring.
+the ring Z_RING, and the Sturm counts and root isolation accept any
+one-variable ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .errors import NotSquare, NotSymmetric, VariableSetMismatch
+from .errors import NotSquare, NotSymmetric, VariableSetMismatch, ZeroPolynomial
 from .groebner import normal_form
-from .polynomials import Polynomial, VariableSet, squarefree_part
+from .polynomials import Polynomial, VariableSet, exact_divide
 
 Q = Fraction
 
@@ -49,26 +51,43 @@ def sturm_chain(f: Polynomial) -> list[Polynomial]:
     return chain
 
 
-def _variations_at_infinity(chain: Sequence[Polynomial], sign: int) -> int:
-    # sign of p at +inf is sign(lc); at -inf it flips with odd degree; the
-    # content is positive, so the integer terms carry the signs
-    signs = []
-    for p in chain:
-        d = p.degree_in(0)
-        s = _sign(p.terms[(d,)])
-        signs.append(s if sign > 0 or d % 2 == 0 else -s)
-    return _sign_variations(signs)
+def _sturm_coefficients(f: Polynomial) -> list[list[int]]:
+    # the Sturm chain of g = f / gcd(f, f'), whose real roots are those of f,
+    # each simple; each member as its primitive integer terms, highest degree
+    # first (the content is positive, so the terms carry the signs)
+    if f.is_zero():
+        raise ZeroPolynomial("Sturm chain of the zero polynomial")
+    chain = sturm_chain(f)
+    if not chain[-1].is_constant():  # the last member is gcd(f, f')
+        chain = sturm_chain(exact_divide(f, chain[-1]))
+    return [[p.terms.get((k,), 0) for k in range(p.degree_in(0), -1, -1)] for p in chain]
 
 
-def _variations_at(chain: Sequence[Polynomial], x: Fraction) -> int:
-    return _sign_variations([_sign(p.evaluate((x,))) for p in chain])
+def _sign_at(coeffs: Sequence[int], n: int, d: int) -> int:
+    # sign of p(n/d) for d > 0: d^deg * p(n/d) = sum c_k n^k d^(deg-k), by
+    # Horner's rule in integers
+    acc, scale = 0, 1
+    for c in coeffs:
+        acc = acc * n + c * scale
+        scale *= d
+    return _sign(acc)
+
+
+def _variations_at(chain: Sequence[Sequence[int]], x: Fraction) -> int:
+    return _sign_variations([_sign_at(c, x.numerator, x.denominator) for c in chain])
+
+
+def _variations_at_infinity(chain: Sequence[Sequence[int]], sign: int) -> int:
+    # p has the sign of its leading coefficient at +inf; at -inf that sign
+    # flips when deg p is odd
+    return _sign_variations([_sign(c[0]) * sign ** (len(c) - 1) for c in chain])
 
 
 def sturm_real_root_count(f: Polynomial) -> int:
     """Number of distinct real roots of a one-variable f, by Sturm's theorem.
 
-    The chain is built from the squarefree part, so multiplicities never
-    disturb the count.
+    The chain is built from f / gcd(f, f'), so multiplicities never disturb
+    the count.
     """
     return sturm_count_interval(f, None, None)
 
@@ -76,13 +95,59 @@ def sturm_real_root_count(f: Polynomial) -> int:
 def sturm_count_interval(f: Polynomial, a: Fraction | None, b: Fraction | None) -> int:
     """Distinct real roots of a one-variable f in (a, b]; None stands for -inf / +inf."""
     require_univariate(f)
-    g = squarefree_part(f)  # raises ZeroPolynomial for f = 0
-    if g.degree_in(0) <= 0:
-        return 0
-    chain = sturm_chain(g)
+    chain = _sturm_coefficients(f)
     va = _variations_at_infinity(chain, -1) if a is None else _variations_at(chain, a)
     vb = _variations_at_infinity(chain, +1) if b is None else _variations_at(chain, b)
     return va - vb
+
+
+def isolate_real_roots(f: Polynomial, width: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Intervals (a, b], shorter than width, one around each real root of f.
+
+    The roots are those of g = f / gcd(f, f'), where each is simple, and
+    the Sturm chain of g counts them.  Bisection starts from (-B, B], with B
+    the first power of two above g's Cauchy bound 1 + max|c_k| / |c_n|, and
+    splits every interval that holds more than one root.  An interval that
+    holds one root then shrinks by the sign of g at its right end b, which is
+    the root itself or lies past it; the left end may be the root of the
+    interval before.  The intervals come in increasing order.
+    """
+    require_univariate(f)
+    chain = _sturm_coefficients(f)
+    coeffs = chain[0]
+    if len(coeffs) == 1:
+        return []
+    lc, rest = abs(coeffs[0]), max(abs(c) for c in coeffs[1:])
+    bound = Q(1 << ((lc + rest) // lc).bit_length())
+    out = []
+    pending = [(-bound, bound, _variations_at(chain, -bound), _variations_at(chain, bound))]
+    while pending:
+        a, b, va, vb = pending.pop()
+        if va - vb == 1:
+            out.append(_shrink(coeffs, a, b, width))
+        elif va - vb > 1:
+            m = (a + b) / 2
+            vm = _variations_at(chain, m)
+            pending += [(m, b, vm, vb), (a, m, va, vm)]
+    return out
+
+
+def _shrink(
+    coeffs: Sequence[int], a: Fraction, b: Fraction, width: Fraction
+) -> tuple[Fraction, Fraction]:
+    # (a, b] = (lo/den, hi/den] holds exactly one root r of g, a simple one:
+    # g changes sign at r and nowhere else in (a, b]; each step halves it
+    den = lcm(a.denominator, b.denominator)
+    lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    s_hi = _sign_at(coeffs, hi, den)
+    for _ in range(int((b - a) / width).bit_length()):
+        lo, hi, den, mid = 2 * lo, 2 * hi, 2 * den, lo + hi
+        s_mid = _sign_at(coeffs, mid, den)
+        if s_mid in (0, s_hi):  # r = mid, or g(mid) has the sign of g(b) != 0 and r < mid
+            hi, s_hi = mid, s_mid
+        else:
+            lo = mid
+    return Q(lo, den), Q(hi, den)
 
 
 @dataclass(frozen=True)

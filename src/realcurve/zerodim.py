@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd as int_gcd, isqrt
+from math import gcd as int_gcd
 from typing import Iterable
 
 from .errors import NotZeroDimensional
@@ -32,7 +32,13 @@ from .ideals import (
     ideal_sum,
     quotient,  # unused here; bench/test_bench.py's binding-site test pins zerodim.quotient
 )
-from .linalg import Z_RING, RationalMatrix, require_univariate, symmetric_signature
+from .linalg import (
+    Z_RING,
+    RationalMatrix,
+    isolate_real_roots,
+    require_univariate,
+    symmetric_signature,
+)
 from .polynomials import GREVLEX, Exponent, Polynomial, VariableSet, monomial_divides
 
 Q = Fraction
@@ -288,38 +294,30 @@ def nonreduced_locus(i: IdealPresentation) -> IdealPresentation:
 # rational point extraction (for blow-up recursion centers)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return []
-    out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
-
-
 def rational_roots(p: Polynomial) -> list[Fraction]:
-    """All rational roots of a one-variable p, by the rational root theorem.
+    """All rational roots of a one-variable p, in increasing order.
 
-    A nonzero root num/d in lowest terms has num dividing the lowest-degree
-    and d the highest-degree coefficient of the primitive integer terms.
+    Let lc be the leading coefficient of the primitive integer terms of p.
+    A rational root n/d of p in lowest terms has d dividing lc (rational
+    root theorem), and two distinct fractions with denominators at most lc
+    lie at least 1/lc² apart.  Sturm bisection narrows each real root of p
+    into an interval (a, b] shorter than 1/(2·lc²), so a rational root lies
+    within 1/(4·lc²) of the midpoint and is the fraction nearest to it with
+    denominator at most lc, `limit_denominator(lc)`.  That candidate counts
+    only if p vanishes there exactly and it lies in (a, b]: near an
+    irrational root it can be the root of a neighbouring interval.  Raises
+    ValueError for p = 0.
     """
     require_univariate(p)
     if p.is_zero():
         raise ValueError("rational roots of the zero polynomial")
-    low, high = min(p.terms)[0], max(p.terms)[0]
-    roots = [Q(0)] if low else []
-    if low == high:
-        return roots
-    for num in _divisors(p.terms[(low,)]):
-        for d in _divisors(p.terms[(high,)]):
-            for cand in (Q(num, d), Q(-num, d)):
-                if cand not in roots and p.evaluate((cand,)) == 0:
-                    roots.append(cand)
-    return sorted(roots)
+    lc = abs(p.terms[(p.degree_in(0),)])
+    roots = []
+    for a, b in isolate_real_roots(p, Q(1, 2 * lc * lc)):
+        candidate = ((a + b) / 2).limit_denominator(lc)
+        if a < candidate <= b and p.evaluate((candidate,)) == 0:
+            roots.append(candidate)
+    return roots
 
 
 def rational_points(i: IdealPresentation) -> tuple[list[tuple[Fraction, ...]], bool]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import signal
 from collections import Counter
 from fractions import Fraction
 
@@ -54,3 +55,22 @@ def buchberger_inputs(monkeypatch) -> Counter:
 
     monkeypatch.setattr(ideals_module, "buchberger", counting)
     return calls
+
+
+@pytest.fixture
+def hang_guard():
+    """Fail a test that runs past 30 s instead of letting it hang (needs SIGALRM)."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def on_alarm(signum, frame):
+        pytest.fail("over the 30 s limit", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(30)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from realcurve import RadicalityReason, Verdict, classify_point, translate_ideal
+from realcurve import FiberSummary, RadicalityReason, Verdict, classify_point, translate_ideal
 from realcurve.decide import decide_from_fiber
 from realcurve.errors import PointNotOnVariety
 
@@ -133,6 +133,21 @@ def test_irrational_singular_fiber_point_is_inconclusive():
     c = classify_point(i, [0, 0])
     assert c.verdict is Verdict.INCONCLUSIVE
     assert "non-rational" in c.certificate.reason_text
+
+
+@pytest.mark.parametrize(
+    "a, b", [(1000000007, 1000000009), (10**20 + 39, 10**20 + 129)]
+)
+def test_tacnode_pairs_of_large_slope_height_finish(hang_guard, a, b):
+    # two tacnodes tangent to y = a x and y = b x; the blow-up centers sit at
+    # slopes a and b, which a root search by trial division never reached
+    i = make_ideal("x,y", f"((y - {a}x)^2 - x^4)*((y - {b}x)^2 - x^4)")
+    c = classify_point(i, [0, 0])
+    assert c.verdict is Verdict.NOT_MANIFOLD_POINT
+    assert c.certificate.fiber == FiberSummary(
+        real_points=4, complex_points=4, nonreduced_real_points=0
+    )
+    assert c.certificate.blowup_depth == 3
 
 
 def test_translation_invariance(node):

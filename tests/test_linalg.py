@@ -18,7 +18,7 @@ from realcurve import (
     symmetric_signature,
 )
 from realcurve.errors import NotSquare, NotSymmetric, VariableSetMismatch, ZeroPolynomial
-from realcurve.linalg import sturm_count_interval
+from realcurve.linalg import isolate_real_roots, sturm_count_interval
 from realcurve.zerodim import rational_roots
 
 from conftest import zpoly
@@ -191,17 +191,22 @@ def test_inverse_rejects_singular_matrices():
 # the univariate layer against sympy, on polynomials with known factors
 
 
-def _random_factored(rng: random.Random):
+def _random_factored(rng: random.Random, height: int = 1):
     # rational roots come from the linear factors, repeated factors from the
-    # powers; the total degree is 1 to 6
+    # powers; the total degree is 1 to 6; with height > 1 every nonzero
+    # factor coefficient is also scaled by a random integer up to height
+    def scaled(c: int) -> int:
+        return c * rng.randint(1, height) if c and height > 1 else c
+
     target = rng.randint(1, 6)
     f = zpoly([rng.choice((-3, -2, -1, 1, 2, 3))])
     while f.degree_in(0) < target:
         room = target - f.degree_in(0)
         if room >= 2 and rng.random() < 0.4:
-            factor = zpoly([rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(1, 3)])
+            coeffs = [rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(1, 3)]
         else:
-            factor = zpoly([rng.randint(-4, 4), rng.randint(1, 3)])
+            coeffs = [rng.randint(-4, 4), rng.randint(1, 3)]
+        factor = zpoly([scaled(c) for c in coeffs])
         f = f * factor ** rng.randint(1, room // factor.degree_in(0))
     return f
 
@@ -228,13 +233,80 @@ def test_sturm_count_matches_sympy():
         assert sturm_real_root_count(f) == _to_sympy(sympy, f).sqf_part().count_roots()
 
 
-def test_rational_roots_match_sympy():
+def test_rational_roots_match_sympy(hang_guard):
     sympy = pytest.importorskip("sympy")
     rng = random.Random(103)
-    for _ in range(40):
-        f = _random_factored(rng)
+    # small factors, then factors with coefficients of 100 to 106 bits
+    for height in (1,) * 40 + (2**100,) * 40:
+        f = _random_factored(rng, height)
         expected = sympy.roots(_to_sympy(sympy, f), filter="Q")
         assert rational_roots(f) == sorted(_from_sympy(r) for r in expected)
+
+
+def _rational_roots_by_construction(rng: random.Random):
+    """A product of (d z - n)^m and irreducible quadratics, with its rational roots.
+
+    |n| reaches 10^40 and d 10^6.  Each quadratic (D z - N)^2 - s, with
+    N / D one of the rational roots r and s no square, has the roots
+    r ± sqrt(s) / D: irrational, and within 10^-30 of r when s > 0.
+    """
+    f = zpoly([rng.randint(1, 9)])
+    roots = set()
+    for _ in range(rng.randint(1, 3)):
+        top = 10 ** rng.randint(0, 40)
+        n, d = rng.randint(-top, top), rng.randint(1, 10**6)
+        f = f * zpoly([-n, d]) ** rng.randint(1, 3)
+        roots.add(Q(n, d))
+    for _ in range(rng.randint(0, 2)):
+        r = rng.choice(sorted(roots))
+        big_n, big_d = r.numerator * 10**31, r.denominator * 10**31
+        s = rng.choice((2, 3, 5, -1, -7))
+        f = f * zpoly([big_n * big_n - s, -2 * big_n * big_d, big_d * big_d])
+    return f, sorted(roots)
+
+
+def test_rational_roots_by_construction(hang_guard):
+    rng = random.Random(109)
+    for _ in range(20):
+        f, roots = _rational_roots_by_construction(rng)
+        assert rational_roots(f) == roots
+
+
+def test_rational_roots_edge_cases():
+    # 0 and +-2^k are bisection points of (-B, B], B a power of two, so each
+    # is found as the right end of its interval and stays there
+    dyadic = [Q(0)] + [Q(s * 2**k) for k in range(4) for s in (1, -1)]
+    f = zpoly([1])
+    for r in dyadic:
+        f = f * zpoly([-r, 1])
+    assert rational_roots(f) == sorted(dyadic)
+    assert [b for _, b in isolate_real_roots(f, Q(1, 8))] == sorted(dyadic)
+    # the root 0 is the left end of the interval that holds 1
+    assert rational_roots(zpoly([0, -1, 1])) == [0, 1]
+    assert rational_roots(zpoly([-3, 1]) ** 3 * zpoly([1, 2]) ** 2) == [Q(-1, 2), 3]
+    assert rational_roots(zpoly([0, 0, 5])) == [0]
+    # z (2 z^2 - 4 z - 1): the fraction with denominator at most 2 nearest to
+    # the root (2 - sqrt(6)) / 2 is the root 0 of the next interval
+    assert rational_roots(zpoly([0, -1, -4, 2])) == [0]
+    assert rational_roots(zpoly([7])) == []
+    with pytest.raises(ValueError):
+        rational_roots(zpoly([]))
+
+
+def test_isolation_intervals_are_narrow_disjoint_and_exact():
+    # z^3 - 2 z has the roots -sqrt(2), 0, sqrt(2); z^2 + 1 has none
+    width = Q(1, 1000)
+    intervals = isolate_real_roots(zpoly([0, -2, 0, 1]) * zpoly([1, 0, 1]), width)
+    assert len(intervals) == 3
+    assert all(0 < b - a < width for a, b in intervals)
+    assert all(b1 <= a2 for (_, b1), (a2, _) in zip(intervals, intervals[1:]))
+    assert all((a * a - 2) * (b * b - 2) < 0 for a, b in (intervals[0], intervals[2]))
+    assert intervals[1][1] == 0
+    assert isolate_real_roots(zpoly([3]), width) == []
+    # a repeated root is isolated once; the sign of (z - 1)^2 never changes
+    assert [b for _, b in isolate_real_roots(zpoly([-1, 1]) ** 2 * zpoly([1, 1]), width)] == [-1, 1]
+    with pytest.raises(ZeroPolynomial):
+        isolate_real_roots(zpoly([]), width)
 
 
 def test_characteristic_polynomial_matches_sympy():
@@ -256,6 +328,7 @@ def test_univariate_entry_points_reject_other_rings():
         lambda: sturm_real_root_count(f),
         lambda: sturm_count_interval(f, Q(0), None),
         lambda: rational_roots(f),
+        lambda: isolate_real_roots(f, Q(1)),
     ):
         with pytest.raises(VariableSetMismatch):
             call()

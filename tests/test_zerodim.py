@@ -224,6 +224,20 @@ def test_rational_points_detect_irrational():
     assert not all_rational
 
 
+def test_rational_points_of_large_height(hang_guard):
+    # two points with 30-digit coordinates, one of them fractional
+    a, b, c = 10**29 + 7, 3 * 10**29 + 11, 10**30 - 3
+    i = make_ideal("x,y", f"(x - {a})*(7x - {b})", f"y - {c}x - 1")
+    pts, all_rational = rational_points(i)
+    assert pts == sorted([(Q(a), Q(c * a + 1)), (Q(b, 7), Q(c * b, 7) + 1)])
+    assert all_rational
+    # x = a is rational and x = a +- sqrt(2) / 10^30 are not
+    near = make_ideal("x,y", f"(x - {a})*((10^30 x - {a * 10**30})^2 - 2)", "y")
+    pts, all_rational = rational_points(near)
+    assert pts == [(Q(a), Q(0))]
+    assert not all_rational
+
+
 def test_build_rejects_unit_ideal():
     with pytest.raises(NotZeroDimensional):
         build(make_ideal("x,y", "x", "x - 1"))
