@@ -140,7 +140,7 @@ def test_irrational_singular_fiber_point_is_inconclusive():
 )
 def test_tacnode_pairs_of_large_slope_height_finish(hang_guard, a, b):
     # two tacnodes tangent to y = a x and y = b x; the blow-up centers sit at
-    # slopes a and b, which a root search by trial division never reached
+    # slopes a and b, so the root search meets eliminants with roots that large
     i = make_ideal("x,y", f"((y - {a}x)^2 - x^4)*((y - {b}x)^2 - x^4)")
     c = classify_point(i, [0, 0])
     assert c.verdict is Verdict.NOT_MANIFOLD_POINT

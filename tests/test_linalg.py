@@ -304,7 +304,8 @@ def test_isolation_intervals_are_narrow_disjoint_and_exact():
     assert intervals[1][1] == 0
     assert isolate_real_roots(zpoly([3]), width) == []
     # a repeated root is isolated once; the sign of (z - 1)^2 never changes
-    assert [b for _, b in isolate_real_roots(zpoly([-1, 1]) ** 2 * zpoly([1, 1]), width)] == [-1, 1]
+    repeated = zpoly([-1, 1]) ** 2 * zpoly([1, 1])
+    assert [b for _, b in isolate_real_roots(repeated, width)] == [-1, 1]
     with pytest.raises(ZeroPolynomial):
         isolate_real_roots(zpoly([]), width)
 
