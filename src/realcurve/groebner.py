@@ -1,14 +1,33 @@
 """Multivariate division and Buchberger's algorithm.
 
-The reduction core works fraction-free on the primitive integer terms every
-Polynomial already stores, so no input is rescaled: each reduction step
-multiplies the work polynomial by the smallest positive integer that keeps
-coefficients integral.  The accumulated multiplier goes into the content of
-the normal form, which is therefore exact, while the Buchberger loop simply
-strips content (it only cares about ideal membership up to units).
+Packed monomials.  A term enters the reduction core once, as the triple
+(key, word, coefficient).  The key is ``MonomialOrder.key``: one int whose
+integer order is the monomial order and which adds under multiplication.  The
+word packs the exponents and the total degree into fields of FIELD_BITS + 1
+bits whose top bit is a guard that stays clear.  Multiplying a term by x^d
+then costs two integer additions, key + key(d) and word + word(d), and x^a
+divides x^b exactly when word(b) - word(a) leaves every guard bit clear: a
+field that would go negative borrows through its own guard.  The degree field
+bounds every key field, so one check per reduction step keeps all fields
+below 2**FIELD_BITS, and ValueError is raised before any sum could spill
+over.  Exponent tuples come back only for the terms of a result.
+
+Reduction.  The pending terms of the work polynomial sit in a dict keyed by
+order key, and their keys in a max-heap with lazy deletion: a term that
+cancels leaves a stale heap entry behind, and a term that comes back is
+pushed again.  Each step takes the largest pending term and divides it by the
+first stored divisor, in push order, whose leading monomial divides it.  The
+core works fraction-free on the primitive integer terms every Polynomial
+already stores, so no input is rescaled: each step multiplies the work
+polynomial by the smallest positive integer that keeps coefficients
+integral.  The accumulated multiplier goes into the content of the normal
+form, which is therefore exact, while the Buchberger loop simply strips
+content (it only cares about ideal membership up to units).  A finished
+GroebnerBasis builds its divisor table once, on the first normal_form
+against it, and keeps it as long as it lives.
 
 Pair selection follows the normal strategy: the pending pair with the
-smallest lcm (by degree, then by the active order, then by generator indices)
+smallest lcm (by degree, then by order key, then by generator indices)
 is processed first, which makes every run deterministic.
 """
 
@@ -17,21 +36,21 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd as int_gcd
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import ZeroPolynomial
 from .polynomials import (
+    FIELD_BITS,
     GREVLEX,
     Exponent,
     MonomialOrder,
     Polynomial,
     VariableSet,
     monomial_degree,
-    monomial_div,
-    monomial_divides,
     monomial_lcm,
-    monomial_mul,
 )
 
 Q = Fraction
@@ -47,101 +66,155 @@ def set_self_check(enabled: bool) -> None:
     _SELF_CHECK = enabled
 
 
-IPoly = dict  # Exponent -> int, content-free where noted
-
-
-def _strip_content(p: IPoly) -> IPoly:
-    g = int_gcd(*p.values())
-    if g > 1:
-        return {e: v // g for e, v in p.items()}
-    return dict(p)
-
-
-def _is_constant(p: IPoly) -> bool:
-    return len(p) == 1 and monomial_degree(next(iter(p))) == 0
+_SLOT = FIELD_BITS + 1  # bits per exponent-word field, guard bit on top
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 class _Reducer:
-    """Divisor table shared by reduction steps; grows during Buchberger."""
+    """Divisor table of packed terms shared by reduction steps; grows during Buchberger.
 
-    def __init__(self, keyf):
-        self.keyf = keyf
+    A stored divisor is a list of (key, word, coefficient) triples in
+    decreasing key order, content-stripped with a positive leading
+    coefficient.
+    """
+
+    def __init__(self, order: MonomialOrder, n: int):
+        self.key = order.key
+        self.shifts = range(0, _SLOT * n, _SLOT)
+        self.top = _SLOT * n  # the degree field sits above the n exponents
+        self.word_weights = tuple((1 << s) | (1 << self.top) for s in self.shifts)
+        self.guard = sum(1 << (s + FIELD_BITS) for s in range(0, self.top + 1, _SLOT))
         self.lms: list[Exponent] = []
+        self.lks: list[int] = []
+        self.lws: list[int] = []
         self.lcs: list[int] = []
-        self.tails: list[list[tuple[Exponent, int]]] = []
-        self.polys: list[IPoly] = []
+        self.degs: list[int] = []  # largest degree of a term, for the width check
+        self.tails: list[list[tuple[int, int, int]]] = []
+        self.polys: list[list[tuple[int, int, int]]] = []
 
-    def push(self, p: IPoly) -> None:
-        """Store p content-stripped with positive leading coefficient."""
-        p = _strip_content(p)
-        lm = max(p, key=self.keyf)
-        if p[lm] < 0:
-            p = {e: -v for e, v in p.items()}
-        self.lms.append(lm)
-        self.lcs.append(p[lm])
-        self.tails.append([(e, v) for e, v in p.items() if e != lm])
-        self.polys.append(p)
+    def word(self, e: Exponent) -> int:
+        return sum(map(mul, e, self.word_weights))
 
-    def reduce(self, p: IPoly) -> tuple[IPoly, int]:
+    def exponent(self, w: int) -> Exponent:
+        return tuple((w >> s) & _FIELD_MASK for s in self.shifts)
+
+    def divides(self, a: int, b: int) -> bool:
+        """True when the monomial of word a divides the monomial of word b."""
+        return not (b - a) & self.guard
+
+    def check_width(self, degree: int) -> None:
+        if degree >> FIELD_BITS:
+            raise ValueError(
+                f"a product of degree {degree} is too large for packed order keys"
+                f" (limit 2^{FIELD_BITS})"
+            )
+
+    def encode(self, terms: dict) -> tuple[dict[int, int], dict[int, int]]:
+        """Coefficients and words, each keyed by order key, of exponent-keyed terms."""
+        key = self.key
+        work: dict[int, int] = {}
+        words: dict[int, int] = {}
+        for e, c in terms.items():
+            k = key(e)
+            work[k] = c
+            words[k] = self.word(e)
+        return work, words
+
+    def packed_terms(self, terms: dict) -> list[tuple[int, int, int]]:
+        work, words = self.encode(terms)
+        return sorted(((k, words[k], c) for k, c in work.items()), reverse=True)
+
+    def push(self, terms: list[tuple[int, int, int]]) -> None:
+        """Store terms, given in decreasing key order, as the next divisor."""
+        g = int_gcd(*(c for _, _, c in terms))
+        if terms[0][2] < 0:
+            g = -g
+        if g != 1:
+            terms = [(k, w, c // g) for k, w, c in terms]
+        k, w, c = terms[0]
+        self.lms.append(self.exponent(w))
+        self.lks.append(k)
+        self.lws.append(w)
+        self.lcs.append(c)
+        self.degs.append(max(map(itemgetter(1), terms)) >> self.top)
+        self.tails.append(terms[1:])
+        self.polys.append(terms)
+
+    def reduce(self, work: dict[int, int], words: dict[int, int]) -> tuple[list, int]:
         """Full fraction-free reduction; returns (remainder, multiplier).
 
-        Invariant: multiplier * input == remainder modulo the ideal spanned by
-        the stored divisors, with multiplier a positive integer.
+        work maps order keys to coefficients and words maps them to exponent
+        words; both are consumed.  The remainder is a list of (key, word,
+        coefficient) in decreasing key order.  Invariant: multiplier * input
+        == remainder modulo the ideal spanned by the stored divisors, with
+        multiplier a positive integer.
         """
-        keyf = self.keyf
-        lms = self.lms
-        work = dict(p)
-        rem: IPoly = {}
+        lks, lws, lcs, tails, degs = self.lks, self.lws, self.lcs, self.tails, self.degs
+        guard, top = self.guard, self.top
+        heap = [-k for k in work]
+        heapq.heapify(heap)
+        rem: list[tuple[int, int, int, int]] = []  # with the multiplier when appended
         mult = 1
-        while work:
-            e = max(work, key=keyf)
-            c = work.pop(e)
-            hit = -1
-            for idx, lm in enumerate(lms):
-                if monomial_divides(lm, e):
-                    hit = idx
+        while heap:
+            k = -heapq.heappop(heap)
+            c = work.pop(k, 0)
+            if not c:
+                continue  # cancelled, or a stale copy of a key already taken
+            w = words[k]
+            for idx, lw in enumerate(lws):
+                if not (w - lw) & guard:
                     break
-            if hit < 0:
-                rem[e] = c
+            else:
+                rem.append((k, w, c, mult))
                 continue
-            lc = self.lcs[hit]
+            lc = lcs[idx]
             g = int_gcd(c, lc)
             a = lc // g
             b = c // g
             if a != 1:
-                for k in work:
-                    work[k] *= a
-                for k in rem:
-                    rem[k] *= a
+                for t in work:
+                    work[t] *= a
                 mult *= a
-            d = monomial_div(e, lms[hit])
-            for te, tc in self.tails[hit]:
-                k = monomial_mul(te, d)
-                s = work.get(k, 0) - b * tc
-                if s:
-                    work[k] = s
+            dk = k - lks[idx]
+            dw = w - lw
+            self.check_width(degs[idx] + (dw >> top))
+            for tk, tw, tc in tails[idx]:
+                nk = tk + dk
+                old = work.get(nk)
+                if old is None:
+                    work[nk] = -b * tc
+                    words[nk] = tw + dw
+                    heapq.heappush(heap, -nk)
                 else:
-                    work.pop(k, None)
-        return rem, mult
+                    s = old - b * tc
+                    if s:
+                        work[nk] = s
+                    else:
+                        del work[nk]
+        return [(k, w, c * (mult // m)) for k, w, c, m in rem], mult
 
+    def spoly(self, i: int, j: int, kbig: int, wbig: int) -> tuple[dict[int, int], dict[int, int]]:
+        """S-polynomial of divisors i and j, as work and words; kbig and wbig pack their lcm."""
+        lca, lcb = self.lcs[i], self.lcs[j]
+        g = int_gcd(lca, lcb)
+        work: dict[int, int] = {}
+        words: dict[int, int] = {}
+        # the leading terms cancel: lcb / g * lca == lca / g * lcb
+        for idx, factor in ((i, lcb // g), (j, -(lca // g))):
+            dk, dw = kbig - self.lks[idx], wbig - self.lws[idx]
+            self.check_width(self.degs[idx] + (dw >> self.top))
+            for tk, tw, tc in self.tails[idx]:
+                nk = tk + dk
+                s = work.get(nk, 0) + factor * tc
+                if s:
+                    work[nk] = s
+                    words[nk] = tw + dw
+                else:
+                    del work[nk]
+        return work, words
 
-def _spoly(pa: IPoly, lma: Exponent, pb: IPoly, lmb: Exponent) -> IPoly:
-    lca, lcb = pa[lma], pb[lmb]
-    g = int_gcd(lca, lcb)
-    ca, cb = lcb // g, lca // g
-    big = monomial_lcm(lma, lmb)
-    da, db = monomial_div(big, lma), monomial_div(big, lmb)
-    out: IPoly = {}
-    for e, v in pa.items():
-        out[monomial_mul(e, da)] = ca * v
-    for e, v in pb.items():
-        k = monomial_mul(e, db)
-        s = out.get(k, 0) - cb * v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
+    def polynomial(self, vars: VariableSet, terms, content) -> Polynomial:
+        return Polynomial(vars, {self.exponent(w): c for _, w, c in terms}, content)
 
 
 @dataclass(frozen=True)
@@ -151,6 +224,14 @@ class GroebnerBasis:
     basis: tuple[Polynomial, ...]
     order: MonomialOrder
     reduced: bool = True
+
+    @cached_property
+    def divisor_table(self) -> _Reducer:
+        """The basis as packed divisors, built on first use; not part of == or hash."""
+        table = _Reducer(self.order, len(self.basis[0].vars))
+        for g in self.basis:
+            table.push(table.packed_terms(g.terms))
+        return table
 
     def leading_monomials(self) -> frozenset:
         return frozenset(g.leading_monomial(self.order) for g in self.basis)
@@ -189,13 +270,13 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Gr
     vars = nonzero[0].vars
     keyf = order.key
 
-    red = _Reducer(keyf)
-    seeds = sorted((f.terms for f in nonzero), key=lambda p: keyf(max(p, key=keyf)))
-    for p in seeds:
-        r, _ = red.reduce(p)
+    red = _Reducer(order, len(vars))
+    seeds = sorted((red.encode(f.terms) for f in nonzero), key=lambda seed: max(seed[0]))
+    for work, words in seeds:
+        r, _ = red.reduce(work, words)
         if not r:
             continue
-        if _is_constant(r):
+        if r[0][0] == 0:  # the leading monomial is 1
             return _unit_basis(vars, order)
         red.push(r)
 
@@ -206,27 +287,26 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Gr
         lmt = red.lms[t]
         for i in range(t):
             big = monomial_lcm(red.lms[i], lmt)
-            heapq.heappush(heap, (monomial_degree(big), keyf(big), i, t))
+            heapq.heappush(heap, (monomial_degree(big), keyf(big), i, t, big))
             pending.add((i, t))
 
     for t in range(len(red.polys)):
         queue_pairs(t)
 
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        _, kbig, i, j, big = heapq.heappop(heap)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
-        lmi, lmj = red.lms[i], red.lms[j]
-        big = monomial_lcm(lmi, lmj)
-        if big == monomial_mul(lmi, lmj):
+        wbig = red.word(big)
+        if wbig == red.lws[i] + red.lws[j]:
             continue  # coprime leading monomials
         chained = False
-        for k in range(len(red.polys)):
+        for k, lw in enumerate(red.lws):
             if k == i or k == j:
                 continue
             if (
-                monomial_divides(red.lms[k], big)
+                red.divides(lw, wbig)
                 and (min(i, k), max(i, k)) not in pending
                 and (min(j, k), max(j, k)) not in pending
             ):
@@ -234,13 +314,13 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Gr
                 break
         if chained:
             continue
-        s = _spoly(red.polys[i], lmi, red.polys[j], lmj)
-        if not s:
+        work, words = red.spoly(i, j, kbig, wbig)
+        if not work:
             continue
-        r, _ = red.reduce(s)
+        r, _ = red.reduce(work, words)
         if not r:
             continue
-        if _is_constant(r):
+        if r[0][0] == 0:
             return _unit_basis(vars, order)
         red.push(r)
         queue_pairs(len(red.polys) - 1)
@@ -253,21 +333,26 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Gr
 
 
 def _reduce_basis(red: _Reducer, vars: VariableSet, order: MonomialOrder) -> list[Polynomial]:
-    keyf = order.key
-    idxs = sorted(range(len(red.polys)), key=lambda t: keyf(red.lms[t]))
+    """Keep the divisors with minimal leading monomials and reduce their tails.
+
+    No term below lm(g) is divisible by lm(g), so g's own tail never reduces
+    by g: one table of all minimal divisors serves every tail, with the same
+    choices as a table without g.
+    """
+    idxs = sorted(range(len(red.polys)), key=red.lks.__getitem__)
     minimal: list[int] = []
     for t in idxs:
-        if not any(monomial_divides(red.lms[u], red.lms[t]) for u in minimal):
+        if not any(red.divides(red.lws[u], red.lws[t]) for u in minimal):
             minimal.append(t)
-    out: list[Polynomial] = []
+    table = _Reducer(order, len(vars))
     for t in minimal:
-        others = _Reducer(keyf)
-        for u in minimal:
-            if u != t:
-                others.push(red.polys[u])
-        r, _ = others.reduce(red.polys[t]) if others.polys else (dict(red.polys[t]), 1)
-        out.append(Polynomial(vars, r, Q(1, r[max(r, key=keyf)])))
-    out.sort(key=lambda g: keyf(g.leading_monomial(order)), reverse=True)
+        table.push(red.polys[t])
+    out: list[Polynomial] = []
+    for poly, tail in zip(reversed(table.polys), reversed(table.tails)):
+        rem, mult = table.reduce({k: c for k, _, c in tail}, {k: w for k, w, _ in tail})
+        lk, lw, lc = poly[0]
+        lc *= mult
+        out.append(table.polynomial(vars, [(lk, lw, lc)] + rem, Q(1, lc)))
     return out
 
 
@@ -281,19 +366,23 @@ def normal_form(
     No term of the result is divisible by any divisor leading monomial, and
     f minus the result lies in the ideal the divisors generate.  The result is
     exact; when the divisors form a Groebner basis it is the unique normal
-    form.
+    form.  A GroebnerBasis lends its divisor table, built once per basis.
     """
-    if isinstance(divisors, GroebnerBasis):
-        order = divisors.order
-        divisors = divisors.basis
-    ds = [g for g in divisors if not g.is_zero()]
-    if f.is_zero() or not ds:
+    if f.is_zero():
         return f
-    red = _Reducer(order.key)
-    for g in ds:
-        red.push(g.terms)
-    rem, mult = red.reduce(f.terms)
-    return Polynomial(f.vars, rem, f.content / mult)
+    if isinstance(divisors, GroebnerBasis):
+        if divisors.is_zero_ideal():
+            return f
+        red = divisors.divisor_table
+    else:
+        ds = [g for g in divisors if not g.is_zero()]
+        if not ds:
+            return f
+        red = _Reducer(order, len(f.vars))
+        for g in ds:
+            red.push(red.packed_terms(g.terms))
+    rem, mult = red.reduce(*red.encode(f.terms))
+    return red.polynomial(f.vars, rem, f.content / mult)
 
 
 def ideal_membership(f: Polynomial, ideal, order: MonomialOrder = GREVLEX) -> bool:
@@ -318,13 +407,14 @@ def is_groebner_basis(basis: Sequence[Polynomial], order: MonomialOrder) -> bool
     polys = [g for g in basis if not g.is_zero()]
     if not polys:
         return True
-    red = _Reducer(order.key)
+    red = _Reducer(order, len(polys[0].vars))
     for g in polys:
-        red.push(g.terms)
-    ints = red.polys
-    for i in range(len(ints)):
-        for j in range(i + 1, len(ints)):
-            s = _spoly(ints[i], red.lms[i], ints[j], red.lms[j])
-            if s and red.reduce(s)[0]:
+        red.push(red.packed_terms(g.terms))
+    lms = red.lms
+    for i in range(len(lms)):
+        for j in range(i + 1, len(lms)):
+            big = monomial_lcm(lms[i], lms[j])
+            work, words = red.spoly(i, j, order.key(big), red.word(big))
+            if work and red.reduce(work, words)[0]:
                 return False
     return True

@@ -15,14 +15,25 @@ deterministic iteration.
 Monomial orders are separate context objects, not baked into polynomial
 values, so one polynomial can be ranked under several orders during a single
 computation (a block elimination order for a Groebner run, a plain degree
-order elsewhere).
+order elsewhere).  An order ranks x^e by one int, ``MonomialOrder.key(e)``,
+which packs a list of fields of FIELD_BITS bits each, most significant
+first.  grevlex packs (deg, deg - e_n, deg - e_n - e_(n-1), ..., e_1), lex
+packs (e_1, ..., e_n), and a block order with split k packs the grevlex
+fields of e_1..e_k followed by those of the rest.  Every field is a linear
+function of e with values between 0 and the total degree, so comparing keys
+as ints compares the field lists lexicographically, which is the monomial
+order, and key(a + b) == key(a) + key(b) as long as no field reaches
+2**FIELD_BITS.  ``key`` raises ValueError once the degree reaches that bound
+instead of mis-ordering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd as int_gcd, prod
+from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .errors import VariableSetMismatch, ZeroPolynomial
@@ -65,12 +76,29 @@ class VariableSet:
 # ---------------------------------------------------------------------------
 # monomial orders
 
+FIELD_BITS = 16  # W: no packed field may reach 2**W
 
-def _grevlex_key(e: Exponent):
-    total = 0
-    for v in e:
-        total += v
-    return (total, tuple(-v for v in reversed(e)))
+
+def _grevlex_fields(lo: int, hi: int) -> list[range]:
+    # deg, deg - e_hi, deg - e_hi - e_(hi-1), ... over the variables lo..hi-1
+    return [range(lo, hi - j) for j in range(hi - lo)]
+
+
+@cache
+def _key_weights(kind: str, split: int, n: int) -> tuple[int, ...]:
+    """Per-variable weights w with key(e) = sum(e_i * w_i), one W-bit field each."""
+    if kind == "lex":
+        fields = [range(i, i + 1) for i in range(n)]
+    elif kind == "grevlex":
+        fields = _grevlex_fields(0, n)
+    else:
+        k = min(split, n)
+        fields = _grevlex_fields(0, k) + _grevlex_fields(k, n)
+    weights = [0] * n
+    for shift, field in enumerate(reversed(fields)):
+        for i in field:
+            weights[i] += 1 << (FIELD_BITS * shift)
+    return tuple(weights)
 
 
 @dataclass(frozen=True)
@@ -84,13 +112,17 @@ class MonomialOrder:
     kind: str  # "lex" | "grevlex" | "block"
     split: int = 0
 
-    def key(self, e: Exponent):
-        if self.kind == "grevlex":
-            return _grevlex_key(e)
-        if self.kind == "lex":
-            return e
-        k = self.split
-        return (_grevlex_key(e[:k]), _grevlex_key(e[k:]))
+    def key(self, e: Exponent) -> int:
+        """The packed order key of x^e: ints compare as the monomials do.
+
+        Raises ValueError when the degree of e reaches 2**FIELD_BITS.
+        """
+        if sum(e) >> FIELD_BITS:
+            raise ValueError(
+                f"monomial of degree {sum(e)} is too large for packed order keys"
+                f" (limit 2^{FIELD_BITS})"
+            )
+        return sum(map(mul, e, _key_weights(self.kind, self.split, len(e))))
 
     def __str__(self) -> str:
         return f"elim:{self.split}" if self.kind == "block" else self.kind
@@ -112,15 +144,15 @@ def monomial_divides(a: Exponent, b: Exponent) -> bool:
 
 
 def monomial_mul(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_div(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomial_degree(e: Exponent) -> int:
@@ -138,7 +170,7 @@ def _mul_terms(a: dict, b: dict) -> dict:
     out: dict[Exponent, int] = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(add, ea, eb))
             s = out.get(e, 0) + ca * cb
             if s:
                 out[e] = s
@@ -483,8 +515,12 @@ def _active_vars(f: Polynomial) -> set[int]:
 
 
 def _pseudo_remainder(f: Polynomial, g: Polynomial, var: int) -> Polynomial:
-    """prem(f, g) with respect to var: lc(g)^(df-dg+1) * f mod g."""
-    df, dg = f.degree_in(var), g.degree_in(var)
+    """prem(f, g) with respect to var, up to a nonzero rational factor.
+
+    Each step keeps only the primitive part of r * lc(g) - g * lead, so the
+    content, which the gcd loop discards anyway, cannot grow from step to step.
+    """
+    dg = g.degree_in(var)
     gc = _coefficients_in(g, var)
     lc = gc[dg]
     r = f
@@ -494,7 +530,7 @@ def _pseudo_remainder(f: Polynomial, g: Polynomial, var: int) -> Polynomial:
         lead = rc[dr]
         shift = [0] * len(f.vars)
         shift[var] = dr - dg
-        r = r * lc - g * lead.mul_monomial(tuple(shift))
+        r = (r * lc - g * lead.mul_monomial(tuple(shift))).primitive()
     return r
 
 
