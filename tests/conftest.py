@@ -8,7 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from realcurve import IdealPresentation, Polynomial, VariableSet, ideal, parse_polynomial
+from realcurve import (
+    IdealPresentation,
+    MonomialOrder,
+    Polynomial,
+    VariableSet,
+    ideal,
+    parse_polynomial,
+)
 
 Q = Fraction
 
@@ -29,6 +36,20 @@ def zpoly(coeffs, name: str = "z") -> Polynomial:
 def make_ideal(names: str, *gens: str) -> IdealPresentation:
     vs = varset(names)
     return ideal(vs, tuple(parse_polynomial(g, vs) for g in gens))
+
+
+def _grevlex_tuple(e: tuple) -> tuple:
+    return (sum(e), tuple(-v for v in reversed(e)))
+
+
+def reference_order_key(order: MonomialOrder, e: tuple) -> tuple:
+    """The monomial order as a tuple key, as the package defined it before packed keys."""
+    if order.kind == "grevlex":
+        return _grevlex_tuple(e)
+    if order.kind == "lex":
+        return e
+    k = order.split
+    return (_grevlex_tuple(e[:k]), _grevlex_tuple(e[k:]))
 
 
 @pytest.fixture

@@ -150,6 +150,18 @@ def test_tacnode_pairs_of_large_slope_height_finish(hang_guard, a, b):
     assert c.certificate.blowup_depth == 3
 
 
+def test_six_tacnode_chain_finishes(hang_guard):
+    # degree 24 with coefficients at most 6; the squarefree test once spent
+    # minutes on the growing content of its pseudo-remainders
+    chain = "*".join(f"((y - {j}x)^2 - x^4)" for j in range(1, 7))
+    c = classify_point(make_ideal("x,y", chain), [0, 0], max_depth=7)
+    assert c.verdict is Verdict.NOT_MANIFOLD_POINT
+    assert c.certificate.fiber == FiberSummary(
+        real_points=12, complex_points=12, nonreduced_real_points=0
+    )
+    assert c.certificate.blowup_depth == 7
+
+
 def test_translation_invariance(node):
     moved = translate_ideal(node, [-1, 0])  # smooth point to origin
     direct = classify_point(node, [-1, 0])

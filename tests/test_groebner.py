@@ -5,13 +5,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
+from operator import add, le, sub
 
 import pytest
 
 from realcurve import (
     GREVLEX,
     LEX,
+    GroebnerBasis,
     Polynomial,
+    block_order,
     buchberger,
     eliminate,
     ideal_equal,
@@ -19,9 +23,11 @@ from realcurve import (
     is_groebner_basis,
     normal_form,
 )
+from realcurve.groebner import _Reducer
 from realcurve.ideals import ideal
+from realcurve.polynomials import FIELD_BITS
 
-from conftest import make_ideal, poly, varset
+from conftest import make_ideal, poly, reference_order_key, varset
 
 Q = Fraction
 
@@ -149,6 +155,130 @@ def test_every_random_basis_satisfies_buchberger_criterion():
             gb = buchberger(gens, order)
             if not gb.is_zero_ideal():
                 assert is_groebner_basis(gb.basis, order)
+
+
+# ---------------------------------------------------------------------------
+# packed terms and the heap reducer
+
+
+def _reference_normal_form(f: Polynomial, divisors, order) -> Polynomial:
+    """Division as before packed keys: max over the pending terms by tuple key."""
+
+    def keyf(e):
+        return reference_order_key(order, e)
+
+    table = []
+    for g in divisors:
+        lm = max(g.terms, key=keyf)
+        sign = 1 if g.terms[lm] > 0 else -1
+        table.append((lm, {e: sign * c for e, c in g.terms.items()}))
+    work, rem, mult = dict(f.terms), {}, 1
+    while work:
+        e = max(work, key=keyf)
+        c = work.pop(e)
+        hit = next(((lm, terms) for lm, terms in table if all(map(le, lm, e))), None)
+        if hit is None:
+            rem[e] = c
+            continue
+        lm, terms = hit
+        a, b = terms[lm] // gcd(c, terms[lm]), c // gcd(c, terms[lm])
+        work = {k: a * v for k, v in work.items()}
+        rem = {k: a * v for k, v in rem.items()}
+        mult *= a
+        d = tuple(map(sub, e, lm))
+        for te, tc in terms.items():
+            if te != lm:
+                k = tuple(map(add, te, d))
+                s = work.get(k, 0) - b * tc
+                work[k] = s
+                if not s:
+                    del work[k]
+    return Polynomial(f.vars, rem, f.content / mult)
+
+
+class _CancelLog(dict):
+    """A pending-term dict that counts keys which cancel and later come back."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.cancelled: set = set()
+        self.returned = 0
+
+    def __delitem__(self, k):
+        super().__delitem__(k)
+        self.cancelled.add(k)
+
+    def __setitem__(self, k, v):
+        if k in self.cancelled and k not in self:
+            self.returned += 1
+        super().__setitem__(k, v)
+
+
+def test_a_term_that_cancels_and_comes_back_is_reduced_like_a_fresh_one():
+    # x^2 - 2 cancels the constant of f; reducing 2y by 2y + 1 brings it back
+    f, divisors = poly("x^2 + 2y - 2"), [poly("2y + 1"), poly("x^2 - 2")]
+    red = _Reducer(GREVLEX, 2)
+    for g in divisors:
+        red.push(red.packed_terms(g.terms))
+    work, words = red.encode(f.terms)
+    log = _CancelLog(work)
+    rem, mult = red.reduce(log, words)
+    assert log.returned == 1
+    assert red.polynomial(f.vars, rem, f.content / mult) == poly("-1")
+    assert normal_form(f, divisors) == _reference_normal_form(f, divisors, GREVLEX) == poly("-1")
+
+
+@pytest.mark.parametrize("order", [LEX, GREVLEX, block_order(1)], ids=str)
+def test_heap_reduction_matches_the_tuple_key_reference(order):
+    rng = random.Random(83)
+    vs = varset("x,y,z")
+    for _ in range(40):
+        divisors = _random_ideal(rng, vs)
+        f = _random_ideal(rng, vs)[0]
+        assert normal_form(f, divisors, order) == _reference_normal_form(f, divisors, order)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_guard_bit_divisibility_agrees_with_exponentwise_comparison(n):
+    rng = random.Random(89 + n)
+    red = _Reducer(GREVLEX, n)
+    top = ((1 << FIELD_BITS) - 1) // n
+
+    def exponents():
+        return tuple(rng.choice((0, 1, 2, rng.randint(0, top), top)) for _ in range(n))
+
+    for _ in range(300):
+        a = exponents()
+        b = exponents() if rng.random() < 0.5 else tuple(min(top, x + rng.randint(0, 1)) for x in a)
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert red.divides(red.word(x), red.word(y)) == all(map(le, x, y)), (x, y)
+            assert red.exponent(red.word(x)) == x
+
+
+def test_reduction_refuses_a_product_beyond_the_field_width():
+    # under lex, x -> y^(2^15) twice reaches y^(2^16), one degree too many
+    vs = varset("x,y")
+    half = 1 << (FIELD_BITS - 1)
+    g = Polynomial.from_terms(vs, {(1, 0): 1, (0, half): -1})
+    assert normal_form(poly("x"), [g], LEX) == Polynomial.from_terms(vs, {(0, half): 1})
+    with pytest.raises(ValueError):
+        normal_form(poly("x^2"), [g], LEX)
+
+
+def test_normal_form_through_the_basis_table_matches_the_generator_list():
+    rng = random.Random(97)
+    vs = varset("x,y,z")
+    for order in (LEX, GREVLEX, block_order(1)):
+        for _ in range(8):
+            gb = buchberger(_random_ideal(rng, vs), order)
+            for _ in range(5):
+                f = _random_ideal(rng, vs)[0]
+                assert normal_form(f, gb) == normal_form(f, list(gb.basis), order)
+    gb = buchberger([poly("x^2 - y"), poly("xy - 1")], GREVLEX)
+    fresh = GroebnerBasis(gb.basis, gb.order)
+    normal_form(poly("x^3"), gb)
+    assert gb.divisor_table is gb.divisor_table  # built once per basis
+    assert gb == fresh and hash(gb) == hash(fresh)  # the table is not part of the value
 
 
 # ---------------------------------------------------------------------------

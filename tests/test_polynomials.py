@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -20,9 +21,9 @@ from realcurve import (
     squarefree_part,
 )
 from realcurve.errors import VariableSetMismatch
-from realcurve.polynomials import exact_divide
+from realcurve.polynomials import FIELD_BITS, exact_divide
 
-from conftest import poly, varset
+from conftest import poly, reference_order_key, varset
 
 Q = Fraction
 
@@ -127,6 +128,37 @@ def test_multivariate_gcd_common_factor():
     assert multivariate_gcd(f, g) == poly("x+y")
 
 
+def _distinct_parabolas(rng: random.Random, count: int, constants=(0,)) -> list[Polynomial]:
+    # y - a x - b x^2 - c: irreducible (linear in y), pairwise coprime when distinct
+    shapes = [(a, b, c) for a in range(-5, 6) for b in range(-3, 4) if b for c in constants]
+    return [poly(f"y - {a}x - {b}x^2 - {c}") for a, b, c in rng.sample(shapes, count)]
+
+
+def test_multivariate_gcd_of_products_of_known_factors(hang_guard):
+    rng = random.Random(73)
+    one = poly("1")
+    for _ in range(2):
+        fs = _distinct_parabolas(rng, 18)
+        shared = math.prod(fs[:5], start=one)
+        f = shared * math.prod(fs[5:12], start=one)
+        g = shared * math.prod(fs[12:], start=one)
+        assert max(map(sum, f.terms)) == 24
+        h = multivariate_gcd(f, g)
+        assert h == shared.primitive()  # primitive, leading coefficient positive
+        assert multivariate_gcd(exact_divide(f, h), exact_divide(g, h)).is_constant()
+
+
+def test_squarefree_part_drops_repeated_known_factors(hang_guard):
+    rng = random.Random(79)
+    one = poly("1")
+    for _ in range(3):
+        fs = _distinct_parabolas(rng, 4, constants=(0, 1))
+        powers = rng.sample((1, 2, 4, 5), 4)
+        f = math.prod((p**m for p, m in zip(fs, powers)), start=one)
+        assert max(map(sum, f.terms)) == 24
+        assert squarefree_part(f) == math.prod(fs, start=one).primitive()
+
+
 def test_exact_divide():
     f = poly("(x+y)(x^2 - y)")
     assert exact_divide(f, poly("x+y")) == poly("x^2 - y")
@@ -151,6 +183,52 @@ def test_block_order_eliminates_first_block():
     f = poly("x + y^5")
     # any power of the second block stays below one unit of the first block
     assert f.leading_monomial(order) == (1, 0)
+
+
+def _random_exponents(rng: random.Random, n: int) -> tuple:
+    # mostly small entries, some near the packed field width
+    top = ((1 << FIELD_BITS) - 1) // (2 * n)
+    return tuple(rng.choice((0, 1, 2, 3, rng.randint(0, top), top)) for _ in range(n))
+
+
+_ORDERS = (LEX, GREVLEX, block_order(1), block_order(2), block_order(3))
+
+
+@pytest.mark.parametrize("order", _ORDERS, ids=str)
+def test_packed_keys_order_like_the_tuple_keys(order):
+    rng = random.Random(67)
+    for n in range(1, 6):
+        sample = [_random_exponents(rng, n) for _ in range(60)]
+        sample += [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(60)]
+        for a, b in zip(sample, sample[1:] + sample[:1]):
+            ka, kb = order.key(a), order.key(b)
+            ra, rb = reference_order_key(order, a), reference_order_key(order, b)
+            assert (ka < kb, ka == kb) == (ra < rb, ra == rb), (a, b)
+        assert sorted(sample, key=order.key) == sorted(
+            sample, key=lambda e: reference_order_key(order, e)
+        )
+
+
+@pytest.mark.parametrize("order", _ORDERS, ids=str)
+def test_packed_keys_add_under_multiplication(order):
+    rng = random.Random(71)
+    for n in range(1, 6):
+        for _ in range(80):
+            a, b = _random_exponents(rng, n), _random_exponents(rng, n)
+            assert order.key(tuple(map(operator.add, a, b))) == order.key(a) + order.key(b)
+    # the largest degree that still fits
+    full = (1 << FIELD_BITS) - 1
+    assert order.key((full, 0, 0)) == order.key((full - 5, 0, 0)) + order.key((5, 0, 0))
+
+
+@pytest.mark.parametrize("order", _ORDERS, ids=str)
+def test_packed_keys_refuse_degrees_beyond_the_field_width(order):
+    limit = 1 << FIELD_BITS
+    order.key((limit - 1, 0))
+    with pytest.raises(ValueError):
+        order.key((limit, 0))
+    with pytest.raises(ValueError):  # no entry overflows, the degree does
+        order.key((limit // 2, limit // 2))
 
 
 def test_ring_axioms_on_random_samples():
