@@ -48,7 +48,6 @@ from .ideals import (
 )
 from .linalg import (
     RationalMatrix,
-    characteristic_polynomial,
     sturm_real_root_count,
     symmetric_signature,
 )

@@ -1,10 +1,11 @@
 """Exact rational linear algebra and univariate real-root counting and isolation.
 
 Coefficients are `fractions.Fraction` throughout, so every result is exact;
-there are no floating-point code paths anywhere in this module.  Univariate
-polynomials are one-variable `Polynomial`s: characteristic polynomials live in
-the ring Z_RING, and the Sturm counts and root isolation accept any
-one-variable ring.
+there are no floating-point code paths anywhere in this module.  Kernels and
+ranks come from one Gauss-Jordan elimination, and signatures from the pivots
+of one symmetric elimination.  Univariate polynomials are one-variable
+`Polynomial`s: minimal polynomials live in the ring Z_RING, and the Sturm
+counts and root isolation accept any one-variable ring.
 """
 
 from __future__ import annotations
@@ -230,11 +231,6 @@ class RationalMatrix:
                         out[ooff + j] += c * b[boff + j]
         return RationalMatrix(n, m, tuple(out))
 
-    def trace(self) -> Fraction:
-        if not self.is_square():
-            raise NotSquare("trace of a non-square matrix")
-        return sum((self.at(i, i) for i in range(self.rows)), Q(0))
-
     def kernel(self) -> list[tuple[Fraction, ...]]:
         """A basis of {v | M v = 0}, by exact Gauss-Jordan elimination.
 
@@ -267,61 +263,46 @@ class RationalMatrix:
     def rank(self) -> int:
         return self.cols - len(self.kernel())
 
-    def inverse(self) -> "RationalMatrix":
-        if not self.is_square():
-            raise NotSquare("inverse of a non-square matrix")
-        # the kernel of [M | -I] is spanned by the columns (M^-1 e_j, e_j)
-        n = self.rows
-        augmented = [list(self.row(i)) + [-int(i == j) for j in range(n)] for i in range(n)]
-        kernel = RationalMatrix.from_rows(augmented).kernel()
-        inverse = RationalMatrix.from_rows([[v[i] for v in kernel] for i in range(n)])
-        if self * inverse != RationalMatrix.identity(n):
-            raise ValueError("matrix is singular")
-        return inverse
-
-
-def characteristic_polynomial(m: RationalMatrix) -> Polynomial:
-    """det(z*Id - M) in the ring Z_RING, by the Faddeev-LeVerrier recurrence.
-
-    The recurrence only ever divides traces by small integers, which is exact
-    over the rationals.
-    """
-    if not m.is_square():
-        raise NotSquare("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return Polynomial.one(Z_RING)
-    coeffs = [Q(0)] * (n + 1)
-    coeffs[n] = Q(1)
-    a = m
-    c = -a.trace()
-    coeffs[n - 1] = c
-    ident = RationalMatrix.identity(n)
-    for k in range(2, n + 1):
-        shifted = RationalMatrix(
-            n, n, tuple(x + c * e for x, e in zip(a.entries, ident.entries))
-        )
-        a = m * shifted
-        c = -a.trace() / k
-        coeffs[n - k] = c
-    return Polynomial.from_terms(Z_RING, {(k,): c for k, c in enumerate(coeffs)})
-
 
 def symmetric_signature(m: RationalMatrix) -> tuple[int, int]:
     """(n_plus, n_minus): positive and negative eigenvalue counts.
 
-    All eigenvalues of a symmetric matrix are real, so Descartes' rule applied
-    to the characteristic polynomial is exact (multiplicities included).  Zero
-    eigenvalues show up as missing low-degree terms, which count for neither
-    sign; no threshold is involved.
+    Read off the pivot signs of one symmetric (congruence) elimination.  Each
+    step replaces M by E M E^T with E invertible, so by Sylvester's law of
+    inertia the counts stay those of M.  Any nonzero diagonal entry of the
+    active block can be the pivot.  When the diagonal is all zero and
+    a[p][k] != 0, adding row k and column k to row p and column p puts
+    2 a[p][k] on the diagonal, so no 2x2 pivot blocks are needed.  A zero
+    remainder adds to neither count.
     """
     if not m.is_square():
         raise NotSquare("signature of a non-square matrix")
     if not m.is_symmetric():
         raise NotSymmetric("signature of a non-symmetric matrix")
-    # ascending degree; the content is positive, so the integer terms carry
-    # the signs of p(z), and flipping the odd degrees gives those of p(-z)
-    terms = sorted(characteristic_polynomial(m).terms.items())
-    n_plus = _sign_variations([_sign(c) for _, c in terms])
-    n_minus = _sign_variations([_sign(c) * (-1) ** e[0] for e, c in terms])
+    a = [list(m.row(i)) for i in range(m.rows)]
+    active = list(range(m.rows))
+    n_plus = n_minus = 0
+    while active:
+        p = next((i for i in active if a[i][i]), None)
+        if p is None:
+            pk = next(((i, k) for i in active for k in active if a[i][k]), None)
+            if pk is None:
+                break
+            p, k = pk
+            row = a[p] = [x + y for x, y in zip(a[p], a[k])]
+            row[p] += row[k]
+            for i in active:
+                a[i][p] = row[i]
+        pivot = a[p]
+        if pivot[p] > 0:
+            n_plus += 1
+        else:
+            n_minus += 1
+        active.remove(p)
+        for i in active:
+            f = a[i][p] / pivot[p]
+            if f:
+                row = a[i]
+                for j in active:
+                    row[j] -= f * pivot[j]
     return n_plus, n_minus

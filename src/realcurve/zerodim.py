@@ -5,9 +5,10 @@ monomials (those outside the leading-term ideal) form a vector-space basis and
 multiplication by each variable becomes a rational matrix.  Distinct complex
 and real solution counts then come out of the Hermite trace form: its rank is
 the number of distinct complex points and its signature the number of real
-ones, both computed exactly.  Any element acts on the algebra by its own
-multiplication matrix, so questions about the ideal some elements generate
-(is it the whole algebra?) become echelon-form linear algebra.
+ones, both read exactly off the pivots of one symmetric elimination.  Any
+element acts on the algebra by its own multiplication matrix, so questions
+about the ideal some elements generate (is it the whole algebra?) become
+echelon-form linear algebra.
 
 In characteristic 0 the nilradical N of A = Q[x]/I is the kernel of the trace
 form, so radical(I) is I plus the lifts of N, and the non-reduced locus
@@ -19,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import gcd as int_gcd
+from itertools import chain, product
 from typing import Iterable
 
 from .errors import NotZeroDimensional
@@ -202,41 +202,28 @@ def count_points(algebra: ZeroDimAlgebra) -> PointCounts:
     """Distinct complex and real point counts from the trace form.
 
     rank(B) counts distinct complex points and signature(B) the real ones
-    (Hermite / Pedersen-Roy-Szpirglas).  Clearing denominators first is safe:
-    a positive rescaling changes neither rank nor signature.
+    (Hermite / Pedersen-Roy-Szpirglas).  One symmetric elimination of B
+    gives both: n_plus + n_minus is the rank and n_plus - n_minus the
+    signature.
     """
-    b = trace_form(algebra)
-    den = 1
-    for x in b.entries:
-        den = den * x.denominator // int_gcd(den, x.denominator)
-    if den != 1:
-        b = RationalMatrix(b.rows, b.cols, tuple(x * den for x in b.entries))
-    n_plus, n_minus = symmetric_signature(b)
+    n_plus, n_minus = symmetric_signature(trace_form(algebra))
     return PointCounts(complex_distinct=n_plus + n_minus, real_distinct=n_plus - n_minus)
 
 
 def minimal_polynomial(m: RationalMatrix) -> Polynomial:
-    """Monic minimal polynomial in Z_RING, by exact Krylov elimination on matrix powers."""
-    d = m.rows
-    if d == 0:
-        return Polynomial.one(Z_RING)
-    pivots: list[tuple[int, list[Fraction], list[Fraction]]] = []
-    power = RationalMatrix.identity(d)
-    for k in range(d + 1):
-        vec = list(power.entries)
-        combo = [Q(0)] * k + [Q(1)]  # current row represents sum(combo[j] * M^j)
-        for col, pvec, pcombo in pivots:
-            if vec[col]:
-                f = vec[col] / pvec[col]
-                vec = [a - f * b for a, b in zip(vec, pvec)]
-                for j, c in enumerate(pcombo):
-                    combo[j] -= f * c
-        nz = next((idx for idx, v in enumerate(vec) if v), None)
-        if nz is None:
-            return Polynomial.from_terms(Z_RING, {(j,): c for j, c in enumerate(combo)})
-        pivots.append((nz, vec, combo))
-        power = power * m
-    raise AssertionError("no minimal polynomial of degree <= dimension found")
+    """Monic minimal polynomial in Z_RING, from one kernel of matrix powers.
+
+    The columns of the (d^2) x (d+1) matrix are vec(I), vec(M), ...,
+    vec(M^d).  The first kernel vector belongs to the first column M^k that
+    lies in the span of the columns before it, and it is 1 at k and 0 beyond,
+    so its entries are the coefficients of the monic minimal polynomial.
+    """
+    powers = [RationalMatrix.identity(m.rows)]
+    for _ in range(m.rows):
+        powers.append(powers[-1] * m)
+    stacked = tuple(chain.from_iterable(zip(*(p.entries for p in powers))))
+    coefficients = RationalMatrix(m.rows * m.rows, m.rows + 1, stacked).kernel()[0]
+    return Polynomial.from_terms(Z_RING, {(j,): c for j, c in enumerate(coefficients)})
 
 
 def eliminant(algebra: ZeroDimAlgebra, var: int | str) -> Polynomial:

@@ -11,7 +11,6 @@ from realcurve import (
     Polynomial,
     RationalMatrix,
     VariableSet,
-    characteristic_polynomial,
     multivariate_gcd,
     squarefree_part,
     sturm_real_root_count,
@@ -21,7 +20,13 @@ from realcurve.errors import NotSquare, NotSymmetric, VariableSetMismatch, ZeroP
 from realcurve.linalg import isolate_real_roots, sturm_count_interval
 from realcurve.zerodim import rational_roots
 
-from conftest import zpoly
+from conftest import (
+    block_diagonal,
+    random_elementary_product,
+    reference_characteristic_polynomial,
+    transpose,
+    zpoly,
+)
 
 Q = Fraction
 
@@ -49,24 +54,6 @@ def test_sturm_zero_polynomial_rejected():
         sturm_real_root_count(zpoly([]))
 
 
-def test_characteristic_polynomial_zero_matrix():
-    assert characteristic_polynomial(RationalMatrix.zero(2, 2)) == zpoly([0, 0, 1])
-
-
-def test_characteristic_polynomial_identity():
-    assert characteristic_polynomial(RationalMatrix.identity(2)) == zpoly([1, -2, 1])
-
-
-def test_characteristic_polynomial_diagonal():
-    m = RationalMatrix.from_rows([[2, 0], [0, -4]])
-    assert characteristic_polynomial(m) == zpoly([-8, 2, 1])
-
-
-def test_characteristic_polynomial_requires_square():
-    with pytest.raises(NotSquare):
-        characteristic_polynomial(RationalMatrix.zero(2, 3))
-
-
 def test_signature_identity():
     assert symmetric_signature(RationalMatrix.identity(3)) == (3, 0)
 
@@ -83,6 +70,8 @@ def test_signature_zero_matrix():
 def test_signature_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         symmetric_signature(RationalMatrix.from_rows([[0, 1], [0, 0]]))
+    with pytest.raises(NotSquare):
+        symmetric_signature(RationalMatrix.zero(2, 3))
 
 
 def test_univariate_gcd_and_squarefree():
@@ -115,7 +104,7 @@ def test_signature_matches_sturm_interval_counts():
     checked = 0
     while checked < 12:
         m = _random_symmetric(rng, rng.randint(2, 4))
-        p = characteristic_polynomial(m)
+        p = reference_characteristic_polynomial(m)
         if multivariate_gcd(p, p.partial_derivative(0)).degree_in(0) > 0:
             continue  # repeated eigenvalue; Sturm counts distinct roots only
         n_plus, n_minus = symmetric_signature(m)
@@ -127,24 +116,36 @@ def test_signature_matches_sturm_interval_counts():
         checked += 1
 
 
-def test_characteristic_polynomial_similarity_invariant():
-    rng = random.Random(13)
-    for _ in range(8):
-        n = rng.randint(2, 3)
-        m = RationalMatrix.from_rows(
-            [[Q(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
-        )
-        while True:
-            p = RationalMatrix.from_rows(
-                [[Q(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-            )
-            try:
-                p_inv = p.inverse()
-                break
-            except ValueError:
-                continue
-        conjugated = p * m * p_inv
-        assert characteristic_polynomial(conjugated) == characteristic_polynomial(m)
+def _signature_by_construction(rng: random.Random):
+    """P^T D P and its inertia, with P a product of integer elementary matrices.
+
+    D mixes positive, negative and zero entries with blocks [[0, a], [a, 0]],
+    whose eigenvalues are a and -a.  A congruence keeps the inertia of D.
+    """
+    blocks, n_plus, n_minus = [], 0, 0
+    for _ in range(rng.randint(0, 4)):
+        if rng.random() < 0.4:
+            a = rng.choice((-3, -1, 2, Q(1, 2)))
+            blocks.append([[0, a], [a, 0]])
+            n_plus, n_minus = n_plus + 1, n_minus + 1
+        else:
+            d = rng.choice((-2, -1, 0, 0, 1, 3, Q(-1, 3)))
+            blocks.append([[d]])
+            n_plus, n_minus = n_plus + (d > 0), n_minus + (d < 0)
+    n = sum(len(b) for b in blocks)
+    # no factors at all keeps D's zero diagonal, so the zero-pivot rule runs
+    p, _ = random_elementary_product(rng, n, rng.choice((0, 1, 2 * n)))
+    return transpose(p) * block_diagonal(blocks) * p, (n_plus, n_minus)
+
+
+def test_signature_by_construction():
+    rng = random.Random(17)
+    zero_diagonals = 0
+    for _ in range(300):
+        m, expected = _signature_by_construction(rng)
+        assert symmetric_signature(m) == expected
+        zero_diagonals += not m.is_zero() and not any(m.at(i, i) for i in range(m.rows))
+    assert zero_diagonals >= 10
 
 
 def test_matrix_sum_difference_and_negation():
@@ -177,14 +178,6 @@ def test_kernel_of_rank_deficient_matrix():
     (v,) = kernel
     assert any(v)
     assert all(sum(a * b for a, b in zip(m.row(i), v)) == 0 for i in range(3))
-
-
-def test_inverse_rejects_singular_matrices():
-    m = RationalMatrix.from_rows([[1, 2], [2, 4]])
-    with pytest.raises(ValueError):
-        m.inverse()
-    inv = RationalMatrix.from_rows([[Q(1, 3), 2], [0, -1]]).inverse()
-    assert inv == RationalMatrix.from_rows([[3, 6], [0, -1]])
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +312,7 @@ def test_characteristic_polynomial_matches_sympy():
         expected = sympy.Matrix(
             [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
         ).charpoly(sympy.Symbol("z"))
-        ours = characteristic_polynomial(RationalMatrix.from_rows(rows))
+        ours = reference_characteristic_polynomial(RationalMatrix.from_rows(rows))
         assert _coefficients(ours) == [_from_sympy(c) for c in reversed(expected.all_coeffs())]
 
 

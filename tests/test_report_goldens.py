@@ -65,6 +65,29 @@ def test_fourbar_report_matches_golden():
     assert machine_format(report) == expected
 
 
+def test_signatures_match_the_reference_on_every_golden_trace_form(monkeypatch):
+    import realcurve.zerodim as zerodim
+    from realcurve import analyze_fourbar
+    from realcurve.fourbar import FourBarParams
+    from realcurve.linalg import symmetric_signature
+
+    from conftest import reference_signature
+
+    forms = []
+
+    def recording(m):
+        forms.append(m)
+        return symmetric_signature(m)
+
+    monkeypatch.setattr(zerodim, "symmetric_signature", recording)
+    for text in FIXTURES.values():
+        classify_point(parse_ideal(text), [0, 0], max_depth=8)
+    analyze_fourbar(FourBarParams.of(Q(3, 2), Q(3, 2)))
+    assert forms
+    for m in forms:
+        assert symmetric_signature(m) == reference_signature(m)
+
+
 def test_goldens_parse_and_cover_all_verdict_fields():
     for name in list(FIXTURES) + ["fourbar_three_halves"]:
         data = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))

@@ -22,7 +22,15 @@ from realcurve import (
 )
 from realcurve.errors import NotZeroDimensional
 
-from conftest import make_ideal, poly, varset, zpoly
+from conftest import (
+    block_diagonal,
+    make_ideal,
+    poly,
+    random_elementary_product,
+    reference_characteristic_polynomial,
+    varset,
+    zpoly,
+)
 
 Q = Fraction
 
@@ -181,13 +189,14 @@ def test_trace_form_entries_are_traces_of_products(gens):
             product = Polynomial.from_terms(
                 a.ideal.variables, {tuple(x + y for x, y in zip(bi, bj)): 1}
             )
-            assert b.at(i, j) == a.operator(product).trace()
+            m = a.operator(product)
+            assert b.at(i, j) == sum(m.at(k, k) for k in range(m.rows))
 
 
 def test_minimal_polynomial_annihilates_and_divides_charpoly():
     import random as _random
 
-    from realcurve import RationalMatrix, characteristic_polynomial, normal_form
+    from realcurve import RationalMatrix, normal_form
     from realcurve.zerodim import minimal_polynomial
 
     rng = _random.Random(61)
@@ -209,7 +218,44 @@ def test_minimal_polynomial_annihilates_and_divides_charpoly():
             power = power * m
         assert all(x == 0 for x in acc.entries)
         # and it divides the characteristic polynomial
-        assert normal_form(characteristic_polynomial(m), [mu]).is_zero()
+        assert normal_form(reference_characteristic_polynomial(m), [mu]).is_zero()
+
+
+# pairwise coprime factors, irreducible over Q, lowest degree first:
+# z - 1, z + 2, z, z^2 + 1, z^2 - 2
+MINPOLY_FACTORS = ([-1, 1], [2, 1], [0, 1], [1, 0, 1], [-2, 0, 1])
+
+
+def _companion(p: Polynomial) -> list[list]:
+    # p is monic of degree n >= 1, and the minimal polynomial of this matrix
+    n = p.degree_in(0)
+    low = [p.content * p.terms.get((k,), 0) for k in range(n)]
+    return [[int(r == c + 1) for c in range(n - 1)] + [-low[r]] for r in range(n)]
+
+
+def test_minimal_polynomial_by_construction():
+    from realcurve import RationalMatrix
+    from realcurve.zerodim import minimal_polynomial
+
+    rng = random.Random(67)
+    for _ in range(120):
+        blocks, top = [], [0] * len(MINPOLY_FACTORS)
+        for _ in range(rng.randint(0, 3)):
+            powers = [rng.choice((0, 0, 0, 1, 2)) for _ in MINPOLY_FACTORS]
+            p = zpoly([1])
+            for f, k in zip(MINPOLY_FACTORS, powers):
+                p = p * zpoly(f) ** k
+            if not 0 < p.degree_in(0) <= 6 - sum(len(b) for b in blocks):
+                continue
+            blocks.append(_companion(p))
+            top = [max(a, b) for a, b in zip(top, powers)]
+        expected = zpoly([1])
+        for f, k in zip(MINPOLY_FACTORS, top):
+            expected = expected * zpoly(f) ** k
+        n = sum(len(b) for b in blocks)
+        p, p_inv = random_elementary_product(rng, n, 2 * n)
+        assert p * p_inv == RationalMatrix.identity(n)
+        assert minimal_polynomial(p * block_diagonal(blocks) * p_inv) == expected
 
 
 def test_rational_points_found_and_certified():
