@@ -23,6 +23,10 @@ class NotSymmetric(RealCurveError):
     """Signature computation requires a symmetric matrix."""
 
 
+class DegreeTooLarge(RealCurveError, ValueError):
+    """A monomial degree does not fit the fields of the packed order keys."""
+
+
 class VariableSetMismatch(RealCurveError):
     """Operands live in different polynomial rings."""
 

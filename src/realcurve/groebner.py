@@ -9,18 +9,20 @@ then costs two integer additions, key + key(d) and word + word(d), and x^a
 divides x^b exactly when word(b) - word(a) leaves every guard bit clear: a
 field that would go negative borrows through its own guard.  The degree field
 bounds every key field, so one check per reduction step keeps all fields
-below 2**FIELD_BITS, and ValueError is raised before any sum could spill
+below 2**FIELD_BITS, and DegreeTooLarge is raised before any sum could spill
 over.  Exponent tuples come back only for the terms of a result.
 
 Reduction.  The pending terms of the work polynomial sit in a dict keyed by
 order key, and their keys in a max-heap with lazy deletion: a term that
-cancels leaves a stale heap entry behind, and a term that comes back is
-pushed again.  Each step takes the largest pending term and divides it by the
-first stored divisor, in push order, whose leading monomial divides it.  The
-core works fraction-free on the primitive integer terms every Polynomial
-already stores, so no input is rescaled: each step multiplies the work
-polynomial by the smallest positive integer that keeps coefficients
-integral.  The accumulated multiplier goes into the content of the normal
+cancels leaves its key in the heap and its word in the words dict, and a
+term that comes back finds both still there.  A key is pushed only when it
+has no word yet, so each key enters the heap once; a popped key never comes
+back, because each step only adds terms below the one it takes.  Each step
+takes the largest pending term and divides it by the first stored divisor,
+in push order, whose leading monomial divides it.  The core works
+fraction-free on the primitive integer terms every Polynomial already
+stores, so no input is rescaled: each step multiplies the work polynomial by
+the smallest positive integer that keeps coefficients integral.  The accumulated multiplier goes into the content of the normal
 form, which is therefore exact, while the Buchberger loop simply strips
 content (it only cares about ideal membership up to units).  A finished
 GroebnerBasis builds its divisor table once, on the first normal_form
@@ -49,6 +51,7 @@ from .polynomials import (
     MonomialOrder,
     Polynomial,
     VariableSet,
+    check_degree,
     monomial_degree,
     monomial_lcm,
 )
@@ -102,13 +105,6 @@ class _Reducer:
         """True when the monomial of word a divides the monomial of word b."""
         return not (b - a) & self.guard
 
-    def check_width(self, degree: int) -> None:
-        if degree >> FIELD_BITS:
-            raise ValueError(
-                f"a product of degree {degree} is too large for packed order keys"
-                f" (limit 2^{FIELD_BITS})"
-            )
-
     def encode(self, terms: dict) -> tuple[dict[int, int], dict[int, int]]:
         """Coefficients and words, each keyed by order key, of exponent-keyed terms."""
         key = self.key
@@ -143,15 +139,15 @@ class _Reducer:
     def reduce(self, work: dict[int, int], words: dict[int, int]) -> tuple[list, int]:
         """Full fraction-free reduction; returns (remainder, multiplier).
 
-        work maps order keys to coefficients and words maps them to exponent
-        words; both are consumed.  The remainder is a list of (key, word,
-        coefficient) in decreasing key order.  Invariant: multiplier * input
-        == remainder modulo the ideal spanned by the stored divisors, with
-        multiplier a positive integer.
+        work maps order keys to coefficients and words maps them, and any
+        key whose term has cancelled, to exponent words; both are consumed.
+        The remainder is a list of (key, word, coefficient) in decreasing key
+        order.  Invariant: multiplier * input == remainder modulo the ideal
+        spanned by the stored divisors, with multiplier a positive integer.
         """
         lks, lws, lcs, tails, degs = self.lks, self.lws, self.lcs, self.tails, self.degs
         guard, top = self.guard, self.top
-        heap = [-k for k in work]
+        heap = [-k for k in words]
         heapq.heapify(heap)
         rem: list[tuple[int, int, int, int]] = []  # with the multiplier when appended
         mult = 1
@@ -177,14 +173,15 @@ class _Reducer:
                 mult *= a
             dk = k - lks[idx]
             dw = w - lw
-            self.check_width(degs[idx] + (dw >> top))
+            check_degree(degs[idx] + (dw >> top))
             for tk, tw, tc in tails[idx]:
                 nk = tk + dk
                 old = work.get(nk)
                 if old is None:
                     work[nk] = -b * tc
-                    words[nk] = tw + dw
-                    heapq.heappush(heap, -nk)
+                    if nk not in words:
+                        words[nk] = tw + dw
+                        heapq.heappush(heap, -nk)
                 else:
                     s = old - b * tc
                     if s:
@@ -202,7 +199,7 @@ class _Reducer:
         # the leading terms cancel: lcb / g * lca == lca / g * lcb
         for idx, factor in ((i, lcb // g), (j, -(lca // g))):
             dk, dw = kbig - self.lks[idx], wbig - self.lws[idx]
-            self.check_width(self.degs[idx] + (dw >> self.top))
+            check_degree(self.degs[idx] + (dw >> self.top))
             for tk, tw, tc in self.tails[idx]:
                 nk = tk + dk
                 s = work.get(nk, 0) + factor * tc

@@ -42,23 +42,25 @@ def _split_name(word: str, names: tuple[str, ...]) -> list[str] | None:
     """Split a run of letters into declared variable names (longest first).
 
     Variables may be juxtaposed without '*', so "xy" means x*y when x and y
-    are declared but "xy" is not.
+    are declared but "xy" is not.  The split is the one a longest-first
+    backtracking search finds.  Each suffix is solved once, from the end of
+    the word, so a suffix that cannot be split is never tried again.
     """
-    if word in names:
-        return [word]
     ordered = sorted(names, key=len, reverse=True)
-
-    def walk(rest: str) -> list[str] | None:
-        if not rest:
-            return []
-        for name in ordered:
-            if rest.startswith(name):
-                tail = walk(rest[len(name) :])
-                if tail is not None:
-                    return [name] + tail
+    # first[i]: the name a split of word[i:] starts with, None if it has none
+    first: list[str | None] = [None] * len(word) + [""]
+    for i in range(len(word) - 1, -1, -1):
+        first[i] = next(
+            (n for n in ordered if word.startswith(n, i) and first[i + len(n)] is not None),
+            None,
+        )
+    if first[0] is None:
         return None
-
-    return walk(word)
+    parts, i = [], 0
+    while i < len(word):
+        parts.append(first[i])
+        i += len(first[i])
+    return parts
 
 
 def _tokenize(text: str, line_no: int, names: tuple[str, ...]) -> Iterator[_Token]:

@@ -23,12 +23,13 @@ fields of e_1..e_k followed by those of the rest.  Every field is a linear
 function of e with values between 0 and the total degree, so comparing keys
 as ints compares the field lists lexicographically, which is the monomial
 order, and key(a + b) == key(a) + key(b) as long as no field reaches
-2**FIELD_BITS.  ``key`` raises ValueError once the degree reaches that bound
-instead of mis-ordering.
+2**FIELD_BITS.  ``key`` raises DegreeTooLarge once the degree reaches that
+bound instead of mis-ordering.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -36,7 +37,7 @@ from math import gcd as int_gcd, prod
 from operator import add, mul, sub
 from typing import Mapping, Sequence
 
-from .errors import VariableSetMismatch, ZeroPolynomial
+from .errors import DegreeTooLarge, VariableSetMismatch, ZeroPolynomial
 
 Q = Fraction
 Exponent = tuple  # tuple[int, ...], one entry per variable
@@ -101,6 +102,15 @@ def _key_weights(kind: str, split: int, n: int) -> tuple[int, ...]:
     return tuple(weights)
 
 
+def check_degree(degree: int) -> None:
+    """Raise DegreeTooLarge unless a monomial of this degree fits the packed keys."""
+    if degree >> FIELD_BITS:
+        raise DegreeTooLarge(
+            f"monomial of degree {degree} is too large for packed order keys"
+            f" (limit 2^{FIELD_BITS})"
+        )
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """lex, grevlex, or a two-block elimination order.
@@ -115,13 +125,9 @@ class MonomialOrder:
     def key(self, e: Exponent) -> int:
         """The packed order key of x^e: ints compare as the monomials do.
 
-        Raises ValueError when the degree of e reaches 2**FIELD_BITS.
+        Raises DegreeTooLarge when the degree of e reaches 2**FIELD_BITS.
         """
-        if sum(e) >> FIELD_BITS:
-            raise ValueError(
-                f"monomial of degree {sum(e)} is too large for packed order keys"
-                f" (limit 2^{FIELD_BITS})"
-            )
+        check_degree(sum(e))
         return sum(map(mul, e, _key_weights(self.kind, self.split, len(e))))
 
     def __str__(self) -> str:
@@ -468,29 +474,50 @@ def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -
 
     Divides the primitive integer terms: by Gauss's lemma their exact
     quotient is integral, so a leading coefficient that does not divide
-    already proves the division inexact.
+    already proves the division inexact.  Each term is keyed once: keys add
+    under multiplication, so the term t * x^d of a step has the key
+    key(t) + key(d).  Pending terms sit in a dict keyed by order key and
+    their keys in a max-heap; a key popped never comes back, because each
+    step only adds terms below the one it takes.
     """
     if g.is_zero():
         raise ZeroPolynomial("division by zero polynomial")
     f._check_same_ring(g)
-    quotient: dict[Exponent, int] = {}
-    rest = dict(f.terms)
+    key = order.key
     lm = g.leading_monomial(order)
-    lc = g.terms[lm]
-    while rest:
-        e = max(rest, key=order.key)
-        c, r = divmod(rest[e], lc)
+    lc, lk = g.terms[lm], key(lm)
+    tail = [(key(e), e, c) for e, c in g.terms.items() if e != lm]
+    top = max(map(sum, g.terms))  # the largest degree of a term of g
+    exponents = {key(e): e for e in f.terms}
+    rest = {k: f.terms[e] for k, e in exponents.items()}
+    heap = [-k for k in rest]
+    heapq.heapify(heap)
+    quotient: dict[Exponent, int] = {}
+    while heap:
+        k = -heapq.heappop(heap)
+        c = rest.pop(k, 0)
+        if not c:
+            continue
+        e = exponents[k]
+        c, r = divmod(c, lc)
         if r or not monomial_divides(lm, e):
             raise ValueError("not an exact polynomial division")
         d = monomial_div(e, lm)
+        # under lex a tail term of g may outweigh lm in degree, so the step
+        # can make a term of larger degree than any pending one
+        check_degree(top + sum(d))
         quotient[d] = c
-        for te, tc in g.terms.items():
-            k = monomial_mul(te, d)
-            s = rest.get(k, 0) - tc * c
+        dk = k - lk
+        for tk, te, tc in tail:
+            nk = tk + dk
+            s = rest.get(nk, 0) - tc * c
             if s:
-                rest[k] = s
+                rest[nk] = s
             else:
-                rest.pop(k, None)
+                del rest[nk]
+            if nk not in exponents:
+                exponents[nk] = monomial_mul(te, d)
+                heapq.heappush(heap, -nk)
     return Polynomial(f.vars, quotient, f.content / g.content)
 
 

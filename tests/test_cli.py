@@ -45,6 +45,15 @@ def test_parse_unknown_variable_position():
     assert (err.value.line, err.value.col) == (2, 5)
 
 
+def test_parse_long_unsplittable_word_fails_fast(hang_guard):
+    # a backtracking split tries Fibonacci(n) ways to cut n x's into x and xx
+    with pytest.raises(UnknownVariable) as err:
+        parse_ideal("vars: x, xx\n" + "x" * 500 + "q\n")
+    assert (err.value.line, err.value.col) == (2, 1)
+    # longest name first: xxx is xx * x, so the power binds to x
+    assert parse_ideal("vars: x, xx\nxxx^2\n").generators == (poly("xx*x^2", "x,xx"),)
+
+
 def test_parse_zero_line_rejected():
     with pytest.raises(ZeroPolynomialLine):
         parse_ideal("vars: x,y\nx - x\n")
@@ -232,6 +241,13 @@ def test_cli_computation_error_exit_code(tmp_path, capsys):
     path = _write(tmp_path, "node.ideal", NODE_TEXT)
     assert main(["analyze", "--ideal", path, "--point", "1,1"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_reports_an_over_wide_degree_as_a_computation_error(tmp_path, capsys):
+    path = _write(tmp_path, "wide.ideal", "vars: x,y\ny - x^70000\n")
+    assert main(["analyze", "--ideal", path, "--point", "0,0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_cli_invalid_fourbar_params(capsys):

@@ -12,6 +12,7 @@ import pytest
 from realcurve import (
     GREVLEX,
     LEX,
+    MonomialOrder,
     Polynomial,
     VariableSet,
     block_order,
@@ -410,6 +411,41 @@ def test_exact_divide_rejects_nonintegral_quotient():
         exact_divide(poly("x^2 + 1"), poly("2x + 1"))
     half = Polynomial.constant(varset("x,y"), Q(1, 2))
     assert exact_divide(poly("x + 1"), poly("2x + 2")) == half
+
+
+def test_exact_divide_keys_each_term_once(monkeypatch):
+    # two dense degree-12 polynomials of 91 terms and their product
+    rng = random.Random(29)
+    vs = varset("x,y")
+
+    def dense() -> Polynomial:
+        terms = {(i, j): rng.choice((-1, 1)) * rng.randint(1, 9) for i in range(13) for j in range(13 - i)}
+        return Polynomial.from_terms(vs, terms)
+
+    g, q = dense(), dense()
+    f = g * q
+    calls = 0
+    key = MonomialOrder.key
+
+    def counting(self, e):
+        nonlocal calls
+        calls += 1
+        return key(self, e)
+
+    monkeypatch.setattr(MonomialOrder, "key", counting)
+    assert exact_divide(f, g) == q
+    assert calls <= len(f.terms) + len(q.terms) * len(g.terms)
+
+
+def test_exact_divide_refuses_a_product_beyond_the_field_width():
+    # under lex, x + y^40000 leads with x; the first step subtracts
+    # y^30000 (x + y^40000), and the key of y^70000 would wrap onto that of
+    # x y^4464 and cancel it, so the inexact division would come out exact
+    vs = varset("x,y")
+    f = Polynomial.from_terms(vs, {(1, 30000): 1, (1, 4464): 1})
+    g = Polynomial.from_terms(vs, {(1, 0): 1, (0, 40000): 1})
+    with pytest.raises(ValueError):
+        exact_divide(f, g, LEX)
 
 
 def test_canonical_form_is_unique():
