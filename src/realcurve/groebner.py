@@ -22,11 +22,12 @@ takes the largest pending term and divides it by the first stored divisor,
 in push order, whose leading monomial divides it.  The core works
 fraction-free on the primitive integer terms every Polynomial already
 stores, so no input is rescaled: each step multiplies the work polynomial by
-the smallest positive integer that keeps coefficients integral.  The accumulated multiplier goes into the content of the normal
-form, which is therefore exact, while the Buchberger loop simply strips
-content (it only cares about ideal membership up to units).  A finished
-GroebnerBasis builds its divisor table once, on the first normal_form
-against it, and keeps it as long as it lives.
+the smallest positive integer that keeps coefficients integral.  The
+accumulated multiplier goes into the content of the normal form, which is
+therefore exact, while the Buchberger loop simply strips content (it only
+cares about ideal membership up to units).  A finished GroebnerBasis builds
+its divisor table once, on the first normal_form against it, and keeps it as
+long as it lives.
 
 Pair selection follows the normal strategy: the pending pair with the
 smallest lcm (by degree, then by order key, then by generator indices)

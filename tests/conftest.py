@@ -113,10 +113,6 @@ def random_elementary_product(
     return p, p_inv
 
 
-def transpose(m: RationalMatrix) -> RationalMatrix:
-    return RationalMatrix.from_rows([[m.at(i, j) for i in range(m.rows)] for j in range(m.cols)])
-
-
 def block_diagonal(blocks: list[list[list]]) -> RationalMatrix:
     n = sum(len(b) for b in blocks)
     rows = []

@@ -24,7 +24,6 @@ from conftest import (
     block_diagonal,
     random_elementary_product,
     reference_characteristic_polynomial,
-    transpose,
     zpoly,
 )
 
@@ -116,6 +115,10 @@ def test_signature_matches_sturm_interval_counts():
         checked += 1
 
 
+def _transpose(m: RationalMatrix) -> RationalMatrix:
+    return RationalMatrix.from_rows([[m.at(i, j) for i in range(m.rows)] for j in range(m.cols)])
+
+
 def _signature_by_construction(rng: random.Random):
     """P^T D P and its inertia, with P a product of integer elementary matrices.
 
@@ -135,7 +138,7 @@ def _signature_by_construction(rng: random.Random):
     n = sum(len(b) for b in blocks)
     # no factors at all keeps D's zero diagonal, so the zero-pivot rule runs
     p, _ = random_elementary_product(rng, n, rng.choice((0, 1, 2 * n)))
-    return transpose(p) * block_diagonal(blocks) * p, (n_plus, n_minus)
+    return _transpose(p) * block_diagonal(blocks) * p, (n_plus, n_minus)
 
 
 def test_signature_by_construction():

@@ -419,8 +419,9 @@ def test_exact_divide_keys_each_term_once(monkeypatch):
     vs = varset("x,y")
 
     def dense() -> Polynomial:
-        terms = {(i, j): rng.choice((-1, 1)) * rng.randint(1, 9) for i in range(13) for j in range(13 - i)}
-        return Polynomial.from_terms(vs, terms)
+        exponents = [(i, j) for i in range(13) for j in range(13 - i)]
+        coefficients = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in exponents]
+        return Polynomial.from_terms(vs, dict(zip(exponents, coefficients)))
 
     g, q = dense(), dense()
     f = g * q

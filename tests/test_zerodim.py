@@ -227,7 +227,7 @@ MINPOLY_FACTORS = ([-1, 1], [2, 1], [0, 1], [1, 0, 1], [-2, 0, 1])
 
 
 def _companion(p: Polynomial) -> list[list]:
-    # p is monic of degree n >= 1, and the minimal polynomial of this matrix
+    # the companion matrix of a monic p of degree n >= 1; its minimal polynomial is p
     n = p.degree_in(0)
     low = [p.content * p.terms.get((k,), 0) for k in range(n)]
     return [[int(r == c + 1) for c in range(n - 1)] + [-low[r]] for r in range(n)]
