@@ -60,6 +60,7 @@ from .polynomials import (
     Polynomial,
     VariableSet,
     block_order,
+    is_squarefree,
     multivariate_gcd,
     rename_variables,
     ring_map,

@@ -1,18 +1,24 @@
 """Exact rational linear algebra and univariate real-root counting and isolation.
 
-Coefficients are `fractions.Fraction` throughout, so every result is exact;
-there are no floating-point code paths anywhere in this module.  Kernels and
-ranks come from one Gauss-Jordan elimination, and signatures from the pivots
-of one symmetric elimination.  Univariate polynomials are one-variable
-`Polynomial`s: minimal polynomials live in the ring Z_RING, and the Sturm
-counts and root isolation accept any one-variable ring.
+Every result is exact; there are no floating-point code paths anywhere in
+this module.  A RationalMatrix holds `fractions.Fraction` entries, but its
+products, kernels, ranks and signatures run on its integer image: one
+positive common denominator and the integer numerators over it.  Kernels and
+ranks come from one fraction-free Gauss-Jordan elimination, and signatures
+from the pivots of one fraction-free symmetric elimination; each row (each
+remaining block, for signatures) is divided by its content after every step,
+so the integers stay no larger than Bareiss's minors (Bareiss 1968).
+Univariate polynomials are one-variable `Polynomial`s: minimal polynomials
+live in the ring Z_RING, and the Sturm counts and root isolation accept any
+one-variable ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import NotSquare, NotSymmetric, VariableSetMismatch, ZeroPolynomial
@@ -151,9 +157,36 @@ def _shrink(
     return Q(lo, den), Q(hi, den)
 
 
+def integer_product(a: Sequence[int], b: Sequence[int], n: int, k: int, m: int) -> list[int]:
+    """Row-major product of the n x k integer matrix a and the k x m matrix b."""
+    brows = [b[t * m : (t + 1) * m] for t in range(k)]
+    out: list[int] = []
+    for i in range(n):
+        row = [0] * m
+        for c, brow in zip(a[i * k : (i + 1) * k], brows):
+            if c:
+                row = [x + c * y for x, y in zip(row, brow)]
+        out += row
+    return out
+
+
+def _primitive(row: list[int]) -> list[int]:
+    # the row divided by the gcd of its entries; a zero row stays as it is
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def _fractions(ints: Sequence[int], den: int) -> tuple[Fraction, ...]:
+    return tuple(map(Q, ints)) if den == 1 else tuple(Q(x, den) for x in ints)
+
+
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Dense matrix of Fractions, row-major."""
+    """Dense matrix of Fractions, row-major.
+
+    The arithmetic that costs more than one pass over the entries runs on
+    `integer_image`, which is not part of == or hash.
+    """
 
     rows: int
     cols: int
@@ -169,6 +202,19 @@ class RationalMatrix:
                 raise ValueError("ragged rows")
             flat.extend(_as_fraction(x) for x in row)
         return RationalMatrix(r, c, tuple(flat))
+
+    @staticmethod
+    def from_integer_image(rows: int, cols: int, den: int, ints: Sequence[int]) -> "RationalMatrix":
+        """The matrix ints / den, for a positive den; keeps (den, ints) as its image."""
+        m = RationalMatrix(rows, cols, _fractions(ints, den))
+        m.__dict__["integer_image"] = (den, tuple(ints))
+        return m
+
+    @cached_property
+    def integer_image(self) -> tuple[int, tuple[int, ...]]:
+        """(den, ints): a positive common denominator and the row-major numerators over it."""
+        den = lcm(*(x.denominator for x in self.entries))
+        return den, tuple(x.numerator * (den // x.denominator) for x in self.entries)
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
@@ -217,51 +263,57 @@ class RationalMatrix:
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        n, m, k = self.rows, other.cols, self.cols
-        a, b = self.entries, other.entries
-        out = [Q(0)] * (n * m)
-        for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            for t in range(k):
-                c = arow[t]
-                if c:
-                    boff = t * m
-                    ooff = i * m
-                    for j in range(m):
-                        out[ooff + j] += c * b[boff + j]
-        return RationalMatrix(n, m, tuple(out))
+        da, a = self.integer_image
+        db, b = other.integer_image
+        product = integer_product(a, b, self.rows, self.cols, other.cols)
+        return RationalMatrix.from_integer_image(self.rows, other.cols, da * db, product)
 
-    def kernel(self) -> list[tuple[Fraction, ...]]:
-        """A basis of {v | M v = 0}, by exact Gauss-Jordan elimination.
+    def _echelon(self) -> tuple[list[list[int]], list[int]]:
+        """Reduced row echelon form of the integer image: (rows, pivot columns).
 
-        One vector per non-pivot column c of the reduced row echelon form:
-        1 at c, minus column c of the pivot rows at their pivot columns.
+        Fraction-free Gauss-Jordan: a pivot p clears f from another row as
+        p * row - f * pivot row, and the row is then divided by its content.
+        Row r holds the pivot of column pivots[r] and zeros in the other
+        pivot columns, so dividing it by that pivot gives the unique reduced
+        row echelon form of the matrix.
         """
-        m = [list(self.row(i)) for i in range(self.rows)]
+        _, ints = self.integer_image
+        c = self.cols
+        m = [_primitive(list(ints[i * c : (i + 1) * c])) for i in range(self.rows)]
         pivots: list[int] = []
-        for col in range(self.cols):
+        for col in range(c):
             r = len(pivots)
             pivot = next((k for k in range(r, self.rows) if m[k][col]), None)
             if pivot is None:
                 continue
             m[r], m[pivot] = m[pivot], m[r]
-            m[r] = [x / m[r][col] for x in m[r]]
+            prow = m[r]
+            p = prow[col]
             for k in range(self.rows):
-                if k != r and m[k][col]:
-                    f = m[k][col]
-                    m[k] = [x - f * y for x, y in zip(m[k], m[r])]
+                f = m[k][col]
+                if f and k != r:
+                    m[k] = _primitive([p * x - f * y for x, y in zip(m[k], prow)])
             pivots.append(col)
+        return m, pivots
+
+    def kernel(self) -> list[tuple[Fraction, ...]]:
+        """A basis of {v | M v = 0}, from the reduced row echelon form.
+
+        One vector per non-pivot column c: 1 at c, and at each pivot column
+        p minus the entry of p's row at c over the pivot.
+        """
+        m, pivots = self._echelon()
         basis = []
         for col in sorted(set(range(self.cols)) - set(pivots)):
             v = [Q(0)] * self.cols
             v[col] = Q(1)
             for r, p in enumerate(pivots):
-                v[p] = -m[r][col]
+                v[p] = Q(-m[r][col], m[r][p])
             basis.append(tuple(v))
         return basis
 
     def rank(self) -> int:
-        return self.cols - len(self.kernel())
+        return len(self._echelon()[1])
 
 
 def symmetric_signature(m: RationalMatrix) -> tuple[int, int]:
@@ -269,19 +321,34 @@ def symmetric_signature(m: RationalMatrix) -> tuple[int, int]:
 
     Read off the pivot signs of one symmetric (congruence) elimination.  Each
     step replaces M by E M E^T with E invertible, so by Sylvester's law of
-    inertia the counts stay those of M.  Any nonzero diagonal entry of the
-    active block can be the pivot.  When the diagonal is all zero and
-    a[p][k] != 0, adding row k and column k to row p and column p puts
-    2 a[p][k] on the diagonal, so no 2x2 pivot blocks are needed.  A zero
-    remainder adds to neither count.
+    inertia the counts stay those of M.  A zero remainder adds to neither
+    count.
     """
     if not m.is_square():
         raise NotSquare("signature of a non-square matrix")
     if not m.is_symmetric():
         raise NotSymmetric("signature of a non-symmetric matrix")
-    a = [list(m.row(i)) for i in range(m.rows)]
-    active = list(range(m.rows))
-    n_plus = n_minus = 0
+    pivots = _congruence_pivots(m)
+    n_plus = sum(1 for p in pivots if p > 0)
+    return n_plus, len(pivots) - n_plus
+
+
+def _congruence_pivots(m: RationalMatrix) -> list[int]:
+    """The nonzero pivots of a symmetric elimination of m's integer image.
+
+    Any nonzero diagonal entry of the active block can be the pivot.  When
+    the diagonal is all zero and a[p][k] != 0, adding row k and column k to
+    row p and column p puts 2 a[p][k] on the diagonal, so no 2x2 pivot
+    blocks are needed.  A pivot a[p][p] leaves |a[p][p]| times its Schur
+    complement, which stays integral, and the remaining block is then
+    divided by the gcd of its entries.  The image's denominator and both
+    scalings are positive, so the pivot signs are those of m's elimination.
+    """
+    n = m.rows
+    _, ints = m.integer_image
+    a = [list(ints[i * n : (i + 1) * n]) for i in range(n)]
+    active = list(range(n))
+    pivots = []
     while active:
         p = next((i for i in active if a[i][i]), None)
         if p is None:
@@ -294,15 +361,22 @@ def symmetric_signature(m: RationalMatrix) -> tuple[int, int]:
             for i in active:
                 a[i][p] = row[i]
         pivot = a[p]
-        if pivot[p] > 0:
-            n_plus += 1
-        else:
-            n_minus += 1
+        scale = pivot[p]
+        pivots.append(scale)
+        if scale < 0:
+            scale = -scale
+            pivot = [-x for x in pivot]
         active.remove(p)
+        # |a_pp| (a_ij - a_ip a_pj / a_pp) = |a_pp| a_ij - a_ip sign(a_pp) a_pj
         for i in active:
-            f = a[i][p] / pivot[p]
-            if f:
+            row = a[i]
+            f = row[p]
+            for j in active:
+                row[j] = scale * row[j] - f * pivot[j]
+        g = gcd(*(a[i][j] for i in active for j in active))
+        if g > 1:
+            for i in active:
                 row = a[i]
                 for j in active:
-                    row[j] -= f * pivot[j]
-    return n_plus, n_minus
+                    row[j] //= g
+    return pivots

@@ -619,3 +619,73 @@ def squarefree_part(f: Polynomial) -> Polynomial:
     if g.is_constant():
         return f.primitive()
     return exact_divide(f, g).primitive()
+
+
+# The modular squarefree certificate maps f to F_p[v] with these constants:
+# every variable other than v takes its coordinate of the evaluation point,
+# variable i the value _SQUAREFREE_SEED ** (i + 1) mod _SQUAREFREE_PRIME.
+_SQUAREFREE_PRIME = (1 << 61) - 1
+_SQUAREFREE_SEED = 0x9E3779B97F4A7C15 % _SQUAREFREE_PRIME
+
+
+def _evaluation_point(n: int) -> list[int]:
+    return [pow(_SQUAREFREE_SEED, i + 1, _SQUAREFREE_PRIME) for i in range(n)]
+
+
+def _univariate_image(f: Polynomial, var: int, point: Sequence[int]) -> list[int]:
+    """The primitive integer terms of f in F_p[var], lowest degree first.
+
+    Every other variable takes its coordinate of the point, modulo p.
+    """
+    p = _SQUAREFREE_PRIME
+    out = [0] * (f.degree_in(var) + 1)
+    for e, c in f.terms.items():
+        for i, (a, k) in enumerate(zip(point, e)):
+            if k and i != var:
+                c = c * pow(a, k, p)
+        out[e[var]] = (out[e[var]] + c) % p
+    return out
+
+
+def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
+    """True when gcd(a, b) = 1 in F_p[v]; both lowest degree first, b[-1] != 0."""
+    p = _SQUAREFREE_PRIME
+    a = list(a)
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - q * c) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def is_squarefree(f: Polynomial) -> bool:
+    """True when f has no repeated nonconstant factor over Q.
+
+    Fast path modulo the prime p = 2^61 - 1: for each variable v of
+    positive degree in f, let g be the image of f in F_p[v] with every
+    other variable set to its coordinate of a fixed evaluation point.  If
+    g keeps the v-degree of f and gcd(g, g') = 1, no square q^2 with
+    deg_v q > 0 divides f: lc_v(f) does not vanish at the point, so neither
+    does lc_v(q), and the image of q, of positive degree, would divide
+    gcd(g, g').  A factor of positive degree in no variable is a constant,
+    so when every variable passes, f is squarefree.  Otherwise nothing is
+    decided and the answer comes from the exact squarefree_part.  Raises
+    ZeroPolynomial for f = 0.
+    """
+    if f.is_zero():
+        raise ZeroPolynomial("squarefree test of the zero polynomial")
+    p = _SQUAREFREE_PRIME
+    point = _evaluation_point(len(f.vars))
+    for var in range(len(f.vars)):
+        if f.degree_in(var) <= 0:
+            continue
+        g = _univariate_image(f, var, point)
+        if not g[-1] or not _coprime_mod_p(g, [k * c % p for k, c in enumerate(g)][1:]):
+            return squarefree_part(f) == f.primitive()
+    return True

@@ -4,7 +4,9 @@ Radicality is only ever certified through sufficient conditions: a principal
 ideal with squarefree generator, or a complete intersection whose singular
 locus has strictly smaller dimension (which also certifies
 equidimensionality).  Anything else reports Unknown and the caller must decide
-whether to assert radicality explicitly.
+whether to assert radicality explicitly.  The generator of a principal ideal
+goes through `is_squarefree`, which usually decides modulo a prime and runs
+the exact gcd only when its modular images cannot decide.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterator, Sequence
 from .errors import DimensionUnknown, PointNotOnVariety, RankTooLarge
 from .ideals import IdealPresentation, ideal, ideal_sum, krull_dimension
 from .linalg import RationalMatrix
-from .polynomials import Polynomial, VariableSet, squarefree_part
+from .polynomials import Polynomial, VariableSet, is_squarefree
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,7 @@ def radicality_certificate(i: IdealPresentation) -> RadicalityCertificate:
         f = gens[0]
         # a nonconstant f cuts out a hypersurface, a constant one nothing
         dim = -1 if f.is_constant() else len(i.variables) - 1
-        if squarefree_part(f) == f.primitive():
+        if is_squarefree(f):
             return RadicalityCertificate(
                 RadicalityVerdict.RADICAL, RadicalityReason.PRINCIPAL_SQUAREFREE, dim
             )

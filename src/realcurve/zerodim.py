@@ -2,13 +2,17 @@
 
 A zero-dimensional ideal has a finite-dimensional quotient; its standard
 monomials (those outside the leading-term ideal) form a vector-space basis and
-multiplication by each variable becomes a rational matrix.  Distinct complex
+multiplication by each variable becomes a rational matrix, kept as one
+positive denominator times an integer matrix.  Those matrices need only the
+normal forms of the border monomials x_v * b_j outside the basis; every
+other product, the multiplication matrix of any element and the coordinates
+of every b_i * b_j, comes from integer matrix products.  Distinct complex
 and real solution counts then come out of the Hermite trace form: its rank is
 the number of distinct complex points and its signature the number of real
 ones, both read exactly off the pivots of one symmetric elimination.  Any
 element acts on the algebra by its own multiplication matrix, so questions
 about the ideal some elements generate (is it the whole algebra?) become
-echelon-form linear algebra.
+echelon-form linear algebra on integer vectors.
 
 In characteristic 0 the nilradical N of A = Q[x]/I is the kernel of the trace
 form, so radical(I) is I plus the lifts of N, and the non-reduced locus
@@ -20,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, product
+from math import gcd, lcm, prod
 from typing import Iterable
 
 from .errors import NotZeroDimensional
@@ -35,6 +41,7 @@ from .ideals import (
 from .linalg import (
     Z_RING,
     RationalMatrix,
+    integer_product,
     isolate_real_roots,
     require_univariate,
     symmetric_signature,
@@ -52,20 +59,99 @@ class PointCounts:
 
 @dataclass(frozen=True)
 class ZeroDimAlgebra:
-    """Quotient algebra data: standard monomial basis and multiplication matrices."""
+    """Quotient algebra data: standard monomial basis and multiplication matrices.
+
+    The multiplication matrix of variable v is kept as its integer image
+    (den_v, N_v): M_v = N_v / den_v, with N_v row-major.  `structure`
+    builds all of them once, from the normal forms of the border monomials
+    x_v * b_j outside the basis; a column whose x_v * b_j is a basis
+    monomial is a unit vector.  algebra_from_basis builds it to check that
+    the matrices commute.  Neither it nor `mult_matrices` takes part in ==
+    or hash.
+    """
 
     ideal: IdealPresentation
     gb: GroebnerBasis
     basis: tuple[Exponent, ...]
-    mult_matrices: tuple[RationalMatrix, ...]
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def structure(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(den_v, N_v) for each variable v, with M_v = N_v / den_v."""
+        d = self.dimension
+        index = {e: k for k, e in enumerate(self.basis)}
+        border: dict[Exponent, tuple[int, dict[int, int]]] = {}  # shared by the variables
+        out = []
+        for v in range(len(self.ideal.variables)):
+            columns = []  # x_v * b_j as (denominator, {row: numerator})
+            for b in self.basis:
+                e = b[:v] + (b[v] + 1,) + b[v + 1 :]
+                if e in index:
+                    columns.append((1, {index[e]: 1}))
+                    continue
+                if e not in border:
+                    nf = normal_form(Polynomial(self.ideal.variables, {e: 1}), self.gb)
+                    num, den = nf.content.numerator, nf.content.denominator
+                    border[e] = (den, {index[t]: num * c for t, c in nf.terms.items()})
+                columns.append(border[e])
+            den = lcm(*(c for c, _ in columns))
+            ints = [0] * (d * d)
+            for j, (c, column) in enumerate(columns):
+                for k, x in column.items():
+                    ints[k * d + j] = x * (den // c)
+            out.append((den, tuple(ints)))
+        return tuple(out)
+
+    @cached_property
+    def mult_matrices(self) -> tuple[RationalMatrix, ...]:
+        d = self.dimension
+        return tuple(RationalMatrix.from_integer_image(d, d, *m) for m in self.structure)
+
+    def monomial_image(self, e: Exponent, cache: dict) -> tuple[int, tuple[int, ...]]:
+        """(den, N) with N / den the multiplication matrix of x^e, den = prod den_v^e_v.
+
+        cache maps exponents to the images already made; each new image is
+        one integer product N_v * N(e - e_v).
+        """
+        d = self.dimension
+        if not cache:
+            cache[(0,) * len(e)] = (1, tuple(int(i == j) for i in range(d) for j in range(d)))
+        chain = []
+        below = e
+        while below not in cache:
+            v = next(i for i, k in enumerate(below) if k)
+            chain.append(v)
+            below = below[:v] + (below[v] - 1,) + below[v + 1 :]
+        for v in reversed(chain):
+            den, ints = cache[below]
+            den_v, n_v = self.structure[v]
+            below = below[:v] + (below[v] + 1,) + below[v + 1 :]
+            cache[below] = (den * den_v, tuple(integer_product(n_v, ints, d, d, d)))
+        return cache[e]
+
     def operator(self, f: Polynomial) -> RationalMatrix:
-        """Matrix of multiplication by f; column j holds f * basis[j]."""
-        return _operator(self.gb, self.basis, f)
+        """Matrix of multiplication by f; column j holds f * basis[j].
+
+        It is the sum of c_e * M^e over the terms of f, on integer images
+        over the common denominator prod_v den_v^(degree of f in v).
+        """
+        d = self.dimension
+        n = len(self.structure)
+        top = [max(f.degree_in(v), 0) for v in range(n)]
+        den = prod(self.structure[v][0] ** top[v] for v in range(n))
+        cache: dict = {}
+        acc = [0] * (d * d)
+        for e, c in f.terms.items():
+            den_e, ints = self.monomial_image(e, cache)
+            c *= den // den_e
+            acc = [x + c * y for x, y in zip(acc, ints)]
+        q = f.content
+        return RationalMatrix.from_integer_image(
+            d, d, den * q.denominator, [q.numerator * x for x in acc]
+        )
 
     def element(self, m: RationalMatrix) -> Polynomial:
         """The normal-form polynomial whose multiplication matrix is m."""
@@ -97,17 +183,6 @@ def _standard_monomials(gb: GroebnerBasis, n: int) -> list[Exponent]:
     return out
 
 
-def _operator(gb: GroebnerBasis, basis: tuple[Exponent, ...], f: Polynomial) -> RationalMatrix:
-    index = {e: pos for pos, e in enumerate(basis)}
-    d = len(basis)
-    entries = [Q(0)] * (d * d)
-    for j, e in enumerate(basis):
-        nf = normal_form(f.mul_monomial(e), gb)
-        for te, tc in nf.terms.items():
-            entries[index[te] * d + j] = nf.content * tc
-    return RationalMatrix(d, d, tuple(entries))
-
-
 def build(i: IdealPresentation) -> ZeroDimAlgebra:
     """Assemble basis and commuting multiplication matrices for a 0-dim ideal.
 
@@ -124,16 +199,21 @@ def algebra_from_basis(i: IdealPresentation, gb: GroebnerBasis) -> ZeroDimAlgebr
     """The algebra Q[x]/i from a reduced GREVLEX basis of i.
 
     The unit ideal gives the zero algebra, with no basis monomials; an ideal
-    of positive dimension raises NotZeroDimensional.
+    of positive dimension raises NotZeroDimensional.  The multiplication
+    matrices are built here, and must commute: N_a N_b == N_b N_a.
     """
     n = len(i.variables)
     basis = () if gb.is_unit() else tuple(_standard_monomials(gb, n))
-    matrices = [_operator(gb, basis, Polynomial.variable(i.variables, var)) for var in range(n)]
+    algebra = ZeroDimAlgebra(i, gb, basis)
+    d = len(basis)
+    images = [ints for _, ints in algebra.structure]
     for a in range(n):
         for b in range(a + 1, n):
-            if matrices[a] * matrices[b] != matrices[b] * matrices[a]:
+            if integer_product(images[a], images[b], d, d, d) != integer_product(
+                images[b], images[a], d, d, d
+            ):
                 raise AssertionError("multiplication matrices fail to commute")
-    return ZeroDimAlgebra(i, gb, basis, tuple(matrices))
+    return algebra
 
 
 def generating_operators(
@@ -143,27 +223,31 @@ def generating_operators(
 
     The ideal generated by an element m is spanned by m * basis[j], the
     columns of its multiplication matrix, so the ideals of the scanned
-    elements accumulate in one echelon form.  Returns None, and stops
-    scanning, as soon as that ideal is the whole algebra; the zero algebra
-    returns None before consuming anything.
+    elements accumulate in one echelon form of the integer columns, each
+    kept primitive.  Returns None, and stops scanning, as soon as that
+    ideal is the whole algebra; the zero algebra returns None before
+    consuming anything.
     """
     d = algebra.dimension
     if d == 0:
         return None
-    pivots: list[tuple[int, list[Fraction]]] = []
+    pivots: list[tuple[int, list[int]]] = []
     enlarging: list[RationalMatrix] = []
     for m in operators:
         grew = False
+        ints = m.integer_image[1]
         for j in range(d):
-            vec = list(m.entries[j :: d])
+            vec = ints[j::d]
             for col, pvec in pivots:
-                if vec[col]:
-                    f = vec[col]
-                    vec = [a - f * b for a, b in zip(vec, pvec)]
+                f = vec[col]
+                if f:
+                    p = pvec[col]
+                    vec = [p * a - f * b for a, b in zip(vec, pvec)]
             nz = next((idx for idx, v in enumerate(vec) if v), None)
             if nz is None:
                 continue
-            pivots.append((nz, [v / vec[nz] for v in vec]))
+            g = gcd(*vec)
+            pivots.append((nz, [v // g for v in vec] if g > 1 else list(vec)))
             grew = True
             if len(pivots) == d:
                 return None
@@ -175,26 +259,23 @@ def generating_operators(
 def trace_form(algebra: ZeroDimAlgebra) -> RationalMatrix:
     """Hermite bilinear form B[i][j] = Trace(multiplication by b_i * b_j).
 
-    Read off the structure constants: with b_i * b_j = sum_k c_ij[k] * b_k,
-    multiplication by b_k has trace sum_j c_kj[j], and B[i][j] is
-    sum_k c_ij[k] * Trace(b_k) by linearity.
+    Column j of the matrix M^(b_i) of b_i holds the coordinates c_ij of
+    b_i * b_j, and Trace(b_k) is the trace of M^(b_k), so B[i][j] is
+    sum_k c_ij[k] * Trace(b_k) by linearity.  On integer images
+    M^(b_i) = N_i / D_i and Trace(b_k) = T_k / D, row i of B is the
+    integer vector T^T N_i over D_i * D, one Fraction per entry.
     """
     basis, d = algebra.basis, algebra.dimension
-    index = {e: k for k, e in enumerate(basis)}
-    normal_forms: dict[Exponent, dict[int, Fraction]] = {}
-
-    def coordinates(e: Exponent) -> dict[int, Fraction]:
-        if e in index:
-            return {index[e]: Q(1)}
-        got = normal_forms.get(e)
-        if got is None:
-            nf = normal_form(Polynomial.from_terms(algebra.ideal.variables, {e: 1}), algebra.gb)
-            got = normal_forms[e] = {index[te]: nf.content * c for te, c in nf.terms.items()}
-        return got
-
-    table = [[coordinates(tuple(x + y for x, y in zip(a, b))) for b in basis] for a in basis]
-    traces = [sum((row[j].get(j, 0) for j in range(d)), Q(0)) for row in table]
-    entries = (sum((c * traces[k] for k, c in cell.items()), Q(0)) for row in table for cell in row)
+    cache: dict = {}
+    images = [algebra.monomial_image(b, cache) for b in basis]
+    traces = [Q(sum(ints[:: d + 1]), den) for den, ints in images]
+    common = lcm(*(t.denominator for t in traces))
+    weights = [t.numerator * (common // t.denominator) for t in traces]
+    entries: list = [None] * (d * d)
+    for i, (den, ints) in enumerate(images):
+        row = integer_product(weights, ints, 1, d, d)
+        for j in range(i, d):
+            entries[i * d + j] = entries[j * d + i] = Q(row[j], den * common)
     return RationalMatrix(d, d, tuple(entries))
 
 

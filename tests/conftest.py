@@ -54,6 +54,112 @@ def reference_order_key(order: MonomialOrder, e: tuple) -> tuple:
     return (_grevlex_tuple(e[:k]), _grevlex_tuple(e[k:]))
 
 
+def reference_product(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """a * b entry by entry in Fractions, as the package computed it before integer images."""
+    n, m, k = a.rows, b.cols, a.cols
+    out = [Q(0)] * (n * m)
+    for i in range(n):
+        for t in range(k):
+            c = a.entries[i * k + t]
+            if c:
+                for j in range(m):
+                    out[i * m + j] += c * b.entries[t * m + j]
+    return RationalMatrix(n, m, tuple(out))
+
+
+def reference_kernel(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
+    """A kernel basis by Gauss-Jordan elimination in Fractions (pivots scaled to 1)."""
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    pivots: list[int] = []
+    for col in range(m.cols):
+        r = len(pivots)
+        pivot = next((k for k in range(r, m.rows) if rows[k][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for k in range(m.rows):
+            if k != r and rows[k][col]:
+                f = rows[k][col]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        pivots.append(col)
+    basis = []
+    for col in sorted(set(range(m.cols)) - set(pivots)):
+        v = [Q(0)] * m.cols
+        v[col] = Q(1)
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][col]
+        basis.append(tuple(v))
+    return basis
+
+
+def reference_congruence_signature(m: RationalMatrix) -> tuple[int, int]:
+    """(n_plus, n_minus) from a symmetric elimination in Fractions.
+
+    Any nonzero diagonal entry of the active block is the pivot; an all-zero
+    diagonal with a[p][k] != 0 first adds row and column k to row and column p.
+    """
+    a = [list(m.row(i)) for i in range(m.rows)]
+    active = list(range(m.rows))
+    n_plus = n_minus = 0
+    while active:
+        p = next((i for i in active if a[i][i]), None)
+        if p is None:
+            pk = next(((i, k) for i in active for k in active if a[i][k]), None)
+            if pk is None:
+                break
+            p, k = pk
+            row = a[p] = [x + y for x, y in zip(a[p], a[k])]
+            row[p] += row[k]
+            for i in active:
+                a[i][p] = row[i]
+        pivot = a[p]
+        if pivot[p] > 0:
+            n_plus += 1
+        else:
+            n_minus += 1
+        active.remove(p)
+        for i in active:
+            f = a[i][p] / pivot[p]
+            if f:
+                for j in active:
+                    a[i][j] -= f * pivot[j]
+    return n_plus, n_minus
+
+
+def reference_operator(algebra, f: Polynomial) -> RationalMatrix:
+    """Multiplication by f on the algebra, one normal form per basis monomial."""
+    from realcurve.groebner import normal_form
+
+    index = {e: k for k, e in enumerate(algebra.basis)}
+    d = algebra.dimension
+    entries = [Q(0)] * (d * d)
+    for j, e in enumerate(algebra.basis):
+        nf = normal_form(f.mul_monomial(e), algebra.gb)
+        for te, tc in nf.terms.items():
+            entries[index[te] * d + j] = nf.content * tc
+    return RationalMatrix(d, d, tuple(entries))
+
+
+def reference_trace_form(algebra) -> RationalMatrix:
+    """B[i][j] = Trace(b_i * b_j), from the normal forms of the products b_i * b_j."""
+    from realcurve.groebner import normal_form
+
+    basis, d = algebra.basis, algebra.dimension
+    index = {e: k for k, e in enumerate(basis)}
+
+    def coordinates(e) -> dict[int, Fraction]:
+        if e in index:
+            return {index[e]: Q(1)}
+        nf = normal_form(Polynomial.from_terms(algebra.ideal.variables, {e: 1}), algebra.gb)
+        return {index[te]: nf.content * c for te, c in nf.terms.items()}
+
+    table = [[coordinates(tuple(x + y for x, y in zip(a, b))) for b in basis] for a in basis]
+    traces = [sum((row[j].get(j, 0) for j in range(d)), Q(0)) for row in table]
+    entries = (sum((c * traces[k] for k, c in cell.items()), Q(0)) for row in table for cell in row)
+    return RationalMatrix(d, d, tuple(entries))
+
+
 def reference_characteristic_polynomial(m: RationalMatrix) -> Polynomial:
     """det(z*Id - M) in Q[z], by the Faddeev-LeVerrier recurrence.
 
@@ -65,7 +171,8 @@ def reference_characteristic_polynomial(m: RationalMatrix) -> Polynomial:
     coeffs = [Q(0)] * n + [Q(1)]
     a, c = RationalMatrix.zero(n, n), Q(1)
     for k in range(1, n + 1):
-        a = m * RationalMatrix(n, n, tuple(x + c * e for x, e in zip(a.entries, ident)))
+        shifted = RationalMatrix(n, n, tuple(x + c * e for x, e in zip(a.entries, ident)))
+        a = reference_product(m, shifted)
         c = -sum(a.at(i, i) for i in range(n)) / k
         coeffs[n - k] = c
     return zpoly(coeffs)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -24,6 +25,10 @@ from conftest import (
     block_diagonal,
     random_elementary_product,
     reference_characteristic_polynomial,
+    reference_congruence_signature,
+    reference_kernel,
+    reference_product,
+    reference_signature,
     zpoly,
 )
 
@@ -329,3 +334,104 @@ def test_univariate_entry_points_reject_other_rings():
     ):
         with pytest.raises(VariableSetMismatch):
             call()
+
+
+# ---------------------------------------------------------------------------
+# integer images against the Fraction references
+
+
+def _random_matrix(rng: random.Random, rows: int, cols: int) -> RationalMatrix:
+    # denominators up to 6, about a third of the entries zero, some rows all zero
+    entries = []
+    for _ in range(rows):
+        zero_row = rng.random() < 0.15
+        for _ in range(cols):
+            if zero_row or rng.random() < 0.3:
+                entries.append(Q(0))
+            else:
+                entries.append(Q(rng.randint(-9, 9), rng.randint(1, 6)))
+    return RationalMatrix(rows, cols, tuple(entries))
+
+
+def test_products_match_the_fraction_reference():
+    rng = random.Random(101)
+    for _ in range(300):
+        n, k, m = (rng.randint(0, 5) for _ in range(3))
+        a, b = _random_matrix(rng, n, k), _random_matrix(rng, k, m)
+        product = a * b
+        assert product == reference_product(a, b)
+        den, ints = product.integer_image
+        assert den > 0 and product.entries == tuple(Q(x, den) for x in ints)
+
+
+def test_kernels_and_ranks_match_the_fraction_reference():
+    rng = random.Random(103)
+    deficient = 0
+    for _ in range(300):
+        rows, cols = rng.randint(0, 6), rng.randint(1, 6)
+        m = _random_matrix(rng, rows, cols)
+        if rng.random() < 0.4:  # rank at most k < min(rows, cols)
+            k = rng.randint(0, 2)
+            m = reference_product(_random_matrix(rng, rows, k), _random_matrix(rng, k, cols))
+        expected = reference_kernel(m)
+        assert m.kernel() == expected
+        assert m.rank() == cols - len(expected)
+        deficient += 0 < m.rank() < min(rows, cols)
+    assert deficient >= 20
+
+
+def _zero_diagonal_symmetric(rng: random.Random, n: int) -> RationalMatrix:
+    m = _random_symmetric(rng, n)
+    return RationalMatrix(
+        n, n, tuple(Q(0) if i == j else m.at(i, j) for i in range(n) for j in range(n))
+    )
+
+
+def test_signatures_match_the_fraction_elimination():
+    rng = random.Random(107)
+    for trial in range(300):
+        n = rng.randint(0, 6)
+        if trial % 3 == 0:
+            m = _zero_diagonal_symmetric(rng, n)
+        elif trial % 3 == 1:  # zero rows and columns first
+            inner = _random_symmetric(rng, n)
+            m = block_diagonal([[[0, 0], [0, 0]], [inner.row(i) for i in range(n)]])
+        else:
+            m, _ = _signature_by_construction(rng)
+        assert symmetric_signature(m) == reference_congruence_signature(m)
+        if m.rows <= 5:
+            assert symmetric_signature(m) == reference_signature(m)
+
+
+def _hadamard_bound(m: RationalMatrix) -> int:
+    # no minor of an integer matrix exceeds the product of its row lengths
+    n = m.cols
+    rows = [m.integer_image[1][i * n : (i + 1) * n] for i in range(m.rows)]
+    return math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in rows)
+
+
+def test_kernel_elimination_keeps_rows_within_the_hadamard_bound():
+    # the fraction-free rows are primitive multiples of Bareiss's rows of
+    # minors; without the content division they grow exponentially
+    rng = random.Random(109)
+    for _ in range(20):
+        m = RationalMatrix.from_rows([[rng.randint(-9, 9) for _ in range(12)] for _ in range(10)])
+        bound = _hadamard_bound(m)
+        rows, pivots = m._echelon()
+        assert len(pivots) == m.rank()
+        assert all(abs(x) <= bound for row in rows for x in row)
+
+
+def test_congruence_pivots_stay_within_the_hadamard_bound():
+    # B^T B + I is positive definite, so the pivots follow the leading
+    # principal minors, which the scaled pivots never exceed
+    from realcurve.linalg import _congruence_pivots
+
+    rng = random.Random(113)
+    for sign in (1, -1, 1, -1):
+        b = RationalMatrix.from_rows([[rng.randint(-3, 3) for _ in range(10)] for _ in range(10)])
+        m = _transpose(b) * b + RationalMatrix.identity(10)
+        m = RationalMatrix(10, 10, tuple(sign * x for x in m.entries))
+        pivots = _congruence_pivots(m)
+        assert len(pivots) == 10 and all(p * sign > 0 for p in pivots)
+        assert all(abs(p) <= _hadamard_bound(m) for p in pivots)

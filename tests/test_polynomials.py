@@ -483,3 +483,108 @@ def test_canonical_form_is_unique():
     for zero in zeros:
         _assert_canonical(zero)
         assert zero == Polynomial.zero(vs) and zero.content == 0
+
+
+# ---------------------------------------------------------------------------
+# the modular squarefree certificate, on products of known factors
+
+
+def _exactly_squarefree(f: Polynomial) -> bool:
+    return squarefree_part(f) == f.primitive()
+
+
+@pytest.fixture
+def fallbacks(monkeypatch) -> list:
+    """The polynomials that is_squarefree hands to the exact squarefree_part."""
+    from realcurve import polynomials
+
+    calls = []
+    original = polynomials.squarefree_part
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(polynomials, "squarefree_part", counting)
+    return calls
+
+
+def _known_factors(rng: random.Random, names: str, count: int) -> list[Polynomial]:
+    # lines a.x + c with primitive coefficient vectors whose first nonzero
+    # entry is positive, so distinct vectors are coprime irreducibles, and
+    # parabolas y - a x - b x^2 - c (y is the second variable)
+    vs = varset(names)
+    n = len(vs)
+    out: list[Polynomial] = []
+    seen = set()
+    while len(out) < count:
+        if rng.random() < 0.5:
+            coeffs = [rng.randint(-3, 3) for _ in range(n + 1)]
+            g = math.gcd(*coeffs)
+            lead = next((c for c in coeffs[:n] if c), 0)
+            if not lead:
+                continue
+            coeffs = tuple(c // g * (1 if lead > 0 else -1) for c in coeffs)
+            terms = {tuple(int(i == v) for i in range(n)): c for v, c in enumerate(coeffs[:n])}
+            terms[(0,) * n] = coeffs[n]
+        else:
+            a, b, c = rng.randint(-4, 4), rng.choice((-2, -1, 1, 2)), rng.randint(-3, 3)
+            coeffs = ("parabola", a, b, c)
+            e = lambda i, k: tuple(k if j == i else 0 for j in range(n))  # noqa: E731
+            terms = {e(1, 1): 1, e(0, 1): -a, e(0, 2): -b, (0,) * n: -c}
+        if coeffs not in seen:
+            seen.add(coeffs)
+            out.append(Polynomial.from_terms(vs, terms))
+    return out
+
+
+@pytest.mark.parametrize("names, most", [("x,y", 5), ("x,y,z", 4)])
+def test_is_squarefree_on_products_of_known_factors(names, most, fallbacks):
+    from realcurve import is_squarefree
+
+    rng = random.Random(211 + len(names))
+    one = Polynomial.one(varset(names))
+    for _ in range(20):
+        fs = _known_factors(rng, names, rng.randint(1, most))
+        f = math.prod(fs, start=one).scale(Q(rng.choice((-3, 1, 5)), rng.choice((1, 2))))
+        del fallbacks[:]
+        assert is_squarefree(f) and _exactly_squarefree(f)
+        assert not fallbacks  # decided modulo p
+        squared = f * rng.choice(fs)
+        assert not is_squarefree(squared) and not _exactly_squarefree(squared)
+
+
+def test_is_squarefree_sees_a_repeated_factor_in_one_variable(fallbacks):
+    from realcurve import is_squarefree
+
+    f = poly("x^2 (y - x)")
+    assert not is_squarefree(f) and not _exactly_squarefree(f)
+    assert fallbacks == [f]  # the image in F_p[x] has a double root at 0
+    assert is_squarefree(poly("x (y - x)"))
+    assert is_squarefree(poly("x^3 - 5y^3", "x,y"))
+    assert not is_squarefree(poly("(x y z - 1)^2 (x + z)", "x,y,z"))
+
+
+def test_is_squarefree_of_constants_and_zero(fallbacks):
+    from realcurve import is_squarefree
+    from realcurve.errors import ZeroPolynomial
+
+    assert is_squarefree(poly("3")) and is_squarefree(poly("-2/7"))
+    assert not fallbacks
+    with pytest.raises(ZeroPolynomial):
+        is_squarefree(Polynomial.zero(varset("x,y")))
+
+
+def test_is_squarefree_falls_back_when_a_leading_coefficient_vanishes(fallbacks):
+    # q = (x - a) y + 1, with a the evaluation point's x coordinate: the
+    # image of q in F_p[y] loses its y-degree, so the fast path decides nothing
+    from realcurve import is_squarefree
+    from realcurve.polynomials import _evaluation_point, _univariate_image
+
+    point = _evaluation_point(2)
+    q = Polynomial.from_terms(varset("x,y"), {(1, 1): 1, (0, 1): -point[0], (0, 0): 1})
+    assert _univariate_image(q, 1, point)[-1] == 0
+    for f, expected in ((q * poly("y - x"), True), (q * q * poly("y - x"), False)):
+        del fallbacks[:]
+        assert is_squarefree(f) is expected is _exactly_squarefree(f)
+        assert fallbacks == [f]

@@ -88,6 +88,40 @@ def test_signatures_match_the_reference_on_every_golden_trace_form(monkeypatch):
         assert symmetric_signature(m) == reference_signature(m)
 
 
+def test_structure_constants_match_normal_forms_on_every_golden_algebra(monkeypatch):
+    # trace forms and operators come from integer multiplication matrices;
+    # the references take one normal form per basis monomial or product
+    import realcurve.blowup as blowup
+    import realcurve.zerodim as zerodim
+    from realcurve import Polynomial, analyze_fourbar
+    from realcurve.fourbar import FourBarParams
+
+    from conftest import reference_operator, reference_trace_form
+
+    algebras = []
+    original = zerodim.algebra_from_basis
+
+    def recording(i, gb):
+        algebras.append(original(i, gb))
+        return algebras[-1]
+
+    monkeypatch.setattr(zerodim, "algebra_from_basis", recording)
+    monkeypatch.setattr(blowup, "algebra_from_basis", recording)
+    for text in FIXTURES.values():
+        classify_point(parse_ideal(text), [0, 0], max_depth=8)
+    analyze_fourbar(FourBarParams.of(Q(3, 2), Q(3, 2)))
+    assert sum(a.dimension > 2 for a in algebras) >= 5
+    for a in algebras:
+        assert zerodim.trace_form(a) == reference_trace_form(a)
+        vs = a.ideal.variables
+        xs = [Polynomial.variable(vs, v) for v in range(len(vs))]
+        assert a.mult_matrices == tuple(reference_operator(a, x) for x in xs)
+        mixed = sum(xs, Polynomial.constant(vs, Q(-1, 3))) ** 3
+        partials = [g.partial_derivative(0) for g in a.ideal.generators]
+        for f in (*a.ideal.generators, *partials, mixed):
+            assert a.operator(f) == reference_operator(a, f)
+
+
 def test_goldens_parse_and_cover_all_verdict_fields():
     for name in list(FIXTURES) + ["fourbar_three_halves"]:
         data = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))

@@ -193,6 +193,19 @@ def test_trace_form_entries_are_traces_of_products(gens):
             assert b.at(i, j) == sum(m.at(k, k) for k in range(m.rows))
 
 
+@pytest.mark.parametrize("gens", TRACE_FORM_IDEALS, ids=lambda g: "; ".join(g[1:]))
+def test_structure_constants_match_normal_forms(gens):
+    from realcurve.zerodim import trace_form
+
+    from conftest import reference_operator, reference_trace_form
+
+    a = build(make_ideal(*gens))
+    assert trace_form(a) == reference_trace_form(a)
+    for f in (poly("x"), poly("x^3 y - 2/5 y^2 + 7"), poly("(x + 2y - 1/3)^4")):
+        f = rename_variables(f, a.ideal.variables)
+        assert a.operator(f) == reference_operator(a, f)
+
+
 def test_minimal_polynomial_annihilates_and_divides_charpoly():
     import random as _random
 
