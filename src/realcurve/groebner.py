@@ -30,8 +30,11 @@ its divisor table once, on the first normal_form against it, and keeps it as
 long as it lives.
 
 Pair selection follows the normal strategy: the pending pair with the
-smallest lcm (by degree, then by order key, then by generator indices)
-is processed first, which makes every run deterministic.
+smallest lcm is processed first, ties broken by generator indices, which
+makes every run deterministic.  Under grevlex and the block orders the lcm
+is ranked by degree, then by order key; block orders need the degree first.
+Under lex it is ranked by its order key alone, the normal strategy proper:
+ranking by degree first made some small lex inputs run for minutes.
 """
 
 from __future__ import annotations
@@ -280,12 +283,14 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Gr
 
     heap: list = []
     pending: set[tuple[int, int]] = set()
+    degree_first = order.kind != "lex"
 
     def queue_pairs(t: int) -> None:
         lmt = red.lms[t]
         for i in range(t):
             big = monomial_lcm(red.lms[i], lmt)
-            heapq.heappush(heap, (monomial_degree(big), keyf(big), i, t, big))
+            rank = monomial_degree(big) if degree_first else 0
+            heapq.heappush(heap, (rank, keyf(big), i, t, big))
             pending.add((i, t))
 
     for t in range(len(red.polys)):

@@ -348,3 +348,14 @@ def test_elimination_agrees_with_sympy_lex_elimination():
             if all(e[0] == 0 for e in p.terms)
         ]
         assert ideal_equal(eliminate(ideal(vs, gens), 1), ideal(rest, expected))
+
+
+def test_lex_basis_of_a_small_three_variable_ideal_finishes(hang_guard):
+    # ranking lex pairs by degree first ran this input for over two minutes
+    sympy = pytest.importorskip("sympy")
+    texts = ("y^2*x - 3y^2*z - 4x^2", "y^2*z - 3y*x*z - y*z^2 + 2y", "-3y^2*x*z - 2y*x*z^2 + 2x*z")
+    gens = [poly(text, "y,x,z") for text in texts]
+    vs = gens[0].vars
+    ours = buchberger(gens, LEX)
+    theirs = [_from_sympy(p, vs) for p in _sympy_basis(sympy, gens, "lex").polys]
+    assert _basis_terms(ours) == {_monic_terms(p.sorted_terms(LEX)) for p in theirs}
