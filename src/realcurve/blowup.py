@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DepthExceeded,
@@ -130,14 +130,22 @@ def _hat_names(names: Sequence[str], keep: int) -> VariableSet:
     return VariableSet(tuple(out))
 
 
-def _check_pullback_soundness(chart: BlowupChart, original: IdealPresentation) -> None:
+def _check_pullback_soundness(
+    chart: BlowupChart,
+    original: IdealPresentation,
+    images: Iterable[Polynomial] | None = None,
+) -> None:
     """Each generator of original, pulled back, must reduce to 0 mod strict_basis.
 
-    blowup_origin checks fresh charts against the ideal it blew up; the
-    resolution checks composed charts below the root against the original.
+    blowup_origin checks fresh charts against the ideal it blew up and hands
+    in the generators it has already substituted as images; the resolution
+    checks composed charts below the root against the original, whose
+    generators are pulled back here.
     """
-    for g in original.generators:
-        image = ring_map(g, chart.chart_variables, list(chart.pullbacks))
+    if images is None:
+        target, pullbacks = chart.chart_variables, list(chart.pullbacks)
+        images = (ring_map(g, target, pullbacks) for g in original.generators)
+    for image in images:
         if not normal_form(image, chart.strict_basis).is_zero():
             raise AssertionError("pullback of a generator escapes the strict ideal")
 
@@ -170,7 +178,7 @@ def blowup_origin(i: IdealPresentation) -> list[BlowupChart]:
             dedup_constraints=tuple(Polynomial.variable(chart_vars, idx) for idx in range(k)),
             strict_basis=strict.basis,
         )
-        _check_pullback_soundness(chart, i)
+        _check_pullback_soundness(chart, i, substituted.generators)
         charts.append(chart)
     return charts
 

@@ -115,9 +115,9 @@ def test_root_charts_are_checked_once(monkeypatch, node):
     calls = []
     original = blowup._check_pullback_soundness
 
-    def counting(chart, ideal_):
+    def counting(chart, ideal_, images=None):
         calls.append(chart.depth)
-        original(chart, ideal_)
+        original(chart, ideal_, images)
 
     monkeypatch.setattr(blowup, "_check_pullback_soundness", counting)
     assert resolve_curve(node).depth == 1
