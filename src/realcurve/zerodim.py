@@ -110,15 +110,16 @@ class ZeroDimAlgebra:
         d = self.dimension
         return tuple(RationalMatrix.from_integer_image(d, d, *m) for m in self.structure)
 
-    def monomial_image(self, e: Exponent, cache: dict) -> tuple[int, tuple[int, ...]]:
+    def monomial_image(self, e: Exponent, cache: dict) -> tuple[int, list[int]]:
         """(den, N) with N / den the multiplication matrix of x^e, den = prod den_v^e_v.
 
         cache maps exponents to the images already made; each new image is
-        one integer product N_v * N(e - e_v).
+        one integer product N_v * N(e - e_v).  The images are lists that
+        live as long as the cache, which each caller owns.
         """
         d = self.dimension
         if not cache:
-            cache[(0,) * len(e)] = (1, tuple(int(i == j) for i in range(d) for j in range(d)))
+            cache[(0,) * len(e)] = (1, [int(i == j) for i in range(d) for j in range(d)])
         chain = []
         below = e
         while below not in cache:
@@ -129,7 +130,7 @@ class ZeroDimAlgebra:
             den, ints = cache[below]
             den_v, n_v = self.structure[v]
             below = below[:v] + (below[v] + 1,) + below[v + 1 :]
-            cache[below] = (den * den_v, tuple(integer_product(n_v, ints, d, d, d)))
+            cache[below] = (den * den_v, integer_product(n_v, ints, d, d, d))
         return cache[e]
 
     def operator(self, f: Polynomial) -> RationalMatrix:
