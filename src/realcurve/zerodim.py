@@ -94,8 +94,8 @@ class ZeroDimAlgebra:
                     continue
                 if e not in border:
                     nf = normal_form(Polynomial(self.ideal.variables, {e: 1}), self.gb)
-                    num, den = nf.content.numerator, nf.content.denominator
-                    border[e] = (den, {index[t]: num * c for t, c in nf.terms.items()})
+                    num, den_e = nf.content.numerator, nf.content.denominator
+                    border[e] = (den_e, {index[t]: num * c for t, c in nf.terms.items()})
                 columns.append(border[e])
             den = lcm(*(c for c, _ in columns))
             ints = [0] * (d * d)
@@ -120,13 +120,13 @@ class ZeroDimAlgebra:
         d = self.dimension
         if not cache:
             cache[(0,) * len(e)] = (1, [int(i == j) for i in range(d) for j in range(d)])
-        chain = []
+        steps = []
         below = e
         while below not in cache:
             v = next(i for i, k in enumerate(below) if k)
-            chain.append(v)
+            steps.append(v)
             below = below[:v] + (below[v] - 1,) + below[v + 1 :]
-        for v in reversed(chain):
+        for v in reversed(steps):
             den, ints = cache[below]
             den_v, n_v = self.structure[v]
             below = below[:v] + (below[v] + 1,) + below[v + 1 :]
