@@ -26,13 +26,28 @@ that the singular-locus ideal plus the fiber ideal is the unit ideal, a
 certificate over the complex numbers and not merely at real points.  No
 minor is ever expanded as a polynomial, and the scan stops at the first
 minors that fill A.  A leaf keeps its fiber algebra for the point counts.
+
+A chart is certified or blown up again only when its restricted fiber holds
+a point.  Its fiber algebra is built first, from the strict generators and
+the composed pullbacks and constraints, before the chart has a strict basis;
+when the reduced basis of that fiber ideal is {1}, an exact certificate that
+the fiber is empty, the chart is dropped without a strict basis, a pullback
+check or a leaf.  This is sound because the restricted fibers of the charts
+partition the fiber over the original point: a dropped chart adds nothing to
+the real or complex counts, and its non-reduced locus, cut by the same
+constraints, is empty too, so no sum in fiber_summary moves.  Emptiness is
+decided over the original point, never over the chart's own center: below
+the root a chart can miss its center and still carry a point of an earlier
+blow-up.  Nor does skipping the checks hide anything: a pullback check only
+catches a strict ideal that is too small, and a smaller ideal can only
+enlarge a fiber, never empty one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DepthExceeded,
@@ -44,6 +59,7 @@ from .errors import (
 from .groebner import GroebnerBasis, normal_form
 from .ideals import (
     IdealPresentation,
+    SaturationResult,
     basis_dimension,
     groebner_basis,
     ideal,
@@ -83,8 +99,9 @@ class BlowupChart:
 
     Two computed companions ride along without taking part in comparisons:
     strict_basis, the reduced GREVLEX basis of strict_ideal that saturation
-    produced (charts fresh from a blow-up carry it), and fiber_algebra, the
-    restricted fiber algebra a certified leaf was checked in.
+    produced (the charts of blowup_origin and the kept charts of a
+    resolution carry it), and fiber_algebra, the restricted fiber algebra a
+    certified leaf was checked in.
     """
 
     chart_index: int
@@ -150,16 +167,18 @@ def _check_pullback_soundness(
             raise AssertionError("pullback of a generator escapes the strict ideal")
 
 
-def blowup_origin(i: IdealPresentation) -> list[BlowupChart]:
-    """Blow up the origin: one chart per ambient variable.
+def _charts(
+    i: IdealPresentation,
+) -> Iterator[tuple[BlowupChart, SaturationResult, IdealPresentation]]:
+    """Chart by chart, the blow-up of the origin before any strict basis.
 
-    On chart k the substituted ideal is saturated with respect to the chart
-    variable x_k, whose vanishing is the exceptional divisor.
+    Yields each chart with its saturation, whose basis is computed only on
+    first use, and the substituted ideal whose generators its pullbacks map
+    i to.  _with_strict_basis finishes a chart that is kept.
     """
     n = len(i.variables)
     if any(g.constant_term() != 0 for g in i.generators):
         raise OriginNotOnVariety("a generator does not vanish at the origin")
-    charts = []
     for k in range(n):
         chart_vars = _hat_names(i.variables.names, k)
         center = Polynomial.variable(chart_vars, k)
@@ -176,11 +195,30 @@ def blowup_origin(i: IdealPresentation) -> list[BlowupChart]:
             pullbacks=tuple(images),
             depth=1,
             dedup_constraints=tuple(Polynomial.variable(chart_vars, idx) for idx in range(k)),
-            strict_basis=strict.basis,
         )
-        _check_pullback_soundness(chart, i, substituted.generators)
-        charts.append(chart)
-    return charts
+        yield chart, strict, substituted
+
+
+def _with_strict_basis(
+    chart: BlowupChart,
+    strict: SaturationResult,
+    substituted: IdealPresentation,
+    blown_up: IdealPresentation,
+) -> BlowupChart:
+    """The chart with saturation's basis, checked against the ideal blown up."""
+    chart = replace(chart, strict_basis=strict.basis)
+    _check_pullback_soundness(chart, blown_up, substituted.generators)
+    return chart
+
+
+def blowup_origin(i: IdealPresentation) -> list[BlowupChart]:
+    """Blow up the origin: one chart per ambient variable.
+
+    On chart k the substituted ideal is saturated with respect to the chart
+    variable x_k, whose vanishing is the exceptional divisor.  Every chart
+    carries its strict basis and has been checked against i.
+    """
+    return [_with_strict_basis(*parts, i) for parts in _charts(i)]
 
 
 def fiber_ideal(chart: BlowupChart, dedup: bool) -> IdealPresentation:
@@ -271,13 +309,18 @@ def _resolve_chart(
 ) -> None:
     if state.depth >= max_depth:
         raise DepthExceeded(max_depth)
-    for chart in blowup_origin(state.strict_ideal):
-        # at the root, blowup_origin has already checked against the original
-        # ideal and composing with the identity is a no-op
+    blown_up = state.strict_ideal
+    for chart, strict, substituted in _charts(blown_up):
+        # composing with the identity chart at the root is a no-op
         if state.depth > 0:
             chart = _compose_chart(state, chart)
-            _check_pullback_soundness(chart, original)
         algebra = _fiber_algebra(chart)
+        if algebra.gb.is_unit():
+            continue
+        chart = _with_strict_basis(chart, strict, substituted, blown_up)
+        # at the root the ideal blown up is the original one
+        if state.depth > 0:
+            _check_pullback_soundness(chart, original)
         singular = _singular_fiber(chart, algebra)
         if singular is None:
             leaves.append(replace(chart, fiber_algebra=algebra))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -161,12 +162,16 @@ class SaturationResult:
     transform it is the power of the exceptional divisor removed; it can
     exceed the length of the quotient chain i ⊆ i : x_k ⊆ i : x_k^2 ⊆ ...,
     because the ideal of the homogenized generators can carry extra
-    components at infinity (h = 0).
+    components at infinity (h = 0).  `basis` is computed on first use, so a
+    caller that only needs the generators of the limit never pays for it.
     """
 
     ideal: IdealPresentation
     iterations: int
-    basis: GroebnerBasis
+
+    @cached_property
+    def basis(self) -> GroebnerBasis:
+        return groebner_basis(self.ideal)
 
 
 def saturate(i: IdealPresentation, j: IdealPresentation) -> SaturationResult:
@@ -178,13 +183,14 @@ def saturate(i: IdealPresentation, j: IdealPresentation) -> SaturationResult:
     homogeneous ideal under revlex with x_k last, in(J : x_k^∞) equals
     in(J) : x_k^∞ (Bayer–Stillman 1987; Eisenbud, Prop. 15.12), and setting
     h = 1 commutes with saturation by x_k (Cox–Little–O'Shea, ch. 8 §4).
-    A second GREVLEX basis, in the original variables, is returned with the
-    limit.  Any other j raises ValueError.  The zero ideal is returned as is.
+    A second GREVLEX basis, in the original variables, comes with the limit
+    on first use.  Any other j raises ValueError.  The zero ideal is returned
+    as is.
     """
     if i.variables != j.variables:
         raise ValueError("saturation across different rings")
     if any(g.is_constant() for g in j.generators):
-        return SaturationResult(i, 0, groebner_basis(i))
+        return SaturationResult(i, 0)
     monomials = list(j.generators[0].terms) if len(j.generators) == 1 else []
     if len(monomials) != 1 or sum(monomials[0]) != 1:
         raise ValueError(
@@ -192,7 +198,7 @@ def saturate(i: IdealPresentation, j: IdealPresentation) -> SaturationResult:
             "or a j with a constant generator"
         )
     if not i.generators:
-        return SaturationResult(i, 0, groebner_basis(i))
+        return SaturationResult(i, 0)
     k = monomials[0].index(1)
     names = i.variables.names
     # extended ring: the other variables, then h, then x_k last
@@ -212,7 +218,7 @@ def saturate(i: IdealPresentation, j: IdealPresentation) -> SaturationResult:
         terms = {e[:k] + (e[-1] - m,) + e[k:-2]: c for e, c in g.terms.items()}
         limit.append(Polynomial(i.variables, terms))
     saturated = ideal(i.variables, limit)
-    return SaturationResult(saturated, iterations, groebner_basis(saturated))
+    return SaturationResult(saturated, iterations)
 
 
 def krull_dimension(i: IdealPresentation) -> int:

@@ -231,6 +231,44 @@ def block_diagonal(blocks: list[list[list]]) -> RationalMatrix:
     return RationalMatrix.from_rows(rows) if rows else RationalMatrix.zero(0, 0)
 
 
+def reference_resolve_curve(i: IdealPresentation, max_depth: int = 6):
+    """resolve_curve as it ran before charts with an empty restricted fiber were dropped.
+
+    Every chart of every blow-up gets its strict basis and its pullback
+    checks, and is certified or blown up again; every smooth one is a leaf,
+    the charts that hold no fiber point included.
+    """
+    from dataclasses import replace
+
+    from realcurve import blowup, jacobian, rank_at, rational_points
+    from realcurve.errors import DepthExceeded, IrrationalSingularFiberPoint
+
+    n = len(i.variables)
+    if rank_at(jacobian(i), [Q(0)] * n) == n - 1:
+        return blowup.SmoothModel((blowup._identity_chart(i),))
+    leaves = []
+
+    def resolve(state):
+        if state.depth >= max_depth:
+            raise DepthExceeded(max_depth)
+        for chart in blowup.blowup_origin(state.strict_ideal):
+            if state.depth > 0:
+                chart = blowup._compose_chart(state, chart)
+                blowup._check_pullback_soundness(chart, i)
+            algebra = blowup._fiber_algebra(chart)
+            singular = blowup._singular_fiber(chart, algebra)
+            if singular is None:
+                leaves.append(replace(chart, fiber_algebra=algebra))
+                continue
+            points, all_rational = rational_points(singular)
+            if not all_rational:
+                raise IrrationalSingularFiberPoint(singular)
+            resolve(blowup._translate_chart(chart, points[0]))
+
+    resolve(blowup._identity_chart(i))
+    return blowup.SmoothModel(tuple(leaves))
+
+
 @pytest.fixture
 def node() -> IdealPresentation:
     return make_ideal("x,y", "y^2 - x^2 - x^3")

@@ -107,21 +107,41 @@ def test_pullback_soundness_check_rejects_broken_bookkeeping(node):
             _check_pullback_soundness(swapped, node)
 
 
-def test_root_charts_are_checked_once(monkeypatch, node):
-    # blowup_origin checks each root chart against the original ideal itself;
-    # the resolution adds a composed check only below the root
+def _record_pullback_checks(monkeypatch):
+    """(depth, chart_index) of every chart checked for pullback soundness from here on."""
     from realcurve import blowup
 
     calls = []
     original = blowup._check_pullback_soundness
 
     def counting(chart, ideal_, images=None):
-        calls.append(chart.depth)
+        calls.append((chart.depth, chart.chart_index))
         original(chart, ideal_, images)
 
     monkeypatch.setattr(blowup, "_check_pullback_soundness", counting)
+    return calls
+
+
+def test_root_charts_are_checked_once(monkeypatch, node):
+    # a kept root chart is checked against the original ideal once, as the
+    # ideal blown up; the resolution adds a composed check only below the
+    # root.  Chart 1 of the node holds no fiber point and is never checked.
+    calls = _record_pullback_checks(monkeypatch)
     assert resolve_curve(node).depth == 1
-    assert calls == [1, 1]
+    assert calls == [(1, 0)]
+
+
+def test_node_chart_without_fiber_points_gets_no_basis_or_check(
+    monkeypatch, node, buchberger_inputs
+):
+    dropped = blowup_origin(node)[1]
+    assert is_unit_ideal(fiber_ideal(dropped, dedup=True))
+    buchberger_inputs.clear()
+    calls = _record_pullback_checks(monkeypatch)
+    model = resolve_curve(node)
+    assert [(c.depth, c.chart_index) for c in model.charts] == [(1, 0)]
+    assert all(index != 1 for _, index in calls)
+    assert buchberger_inputs[dropped.strict_ideal.generators, "grevlex"] == 0
 
 
 def test_composed_check_below_the_root_catches_broken_composition(monkeypatch):
@@ -373,48 +393,60 @@ def test_leaves_hand_their_fiber_algebra_to_fiber_summary(monkeypatch):
     assert (summary.real_points, summary.nonreduced_real_points) == (1, 1)
 
 
-def test_strict_transform_basis_comes_from_saturation_only(monkeypatch):
-    # the soundness checks, the dimension and the leaf check all reuse the
-    # basis that saturation computed; none of them runs Buchberger on it again
-    from collections import Counter
-
-    import realcurve.ideals as ideals_module
-    from realcurve import blowup
-
-    outside = Counter()
-    saturating = []
-    original_buchberger = ideals_module.buchberger
-    original_saturate = blowup.saturate
-
-    def counting(gens, order):
-        if not saturating:
-            outside[tuple(gens), str(order)] += 1
-        return original_buchberger(gens, order)
-
-    def marked(i, j):
-        saturating.append(True)
-        try:
-            return original_saturate(i, j)
-        finally:
-            saturating.pop()
-
-    monkeypatch.setattr(ideals_module, "buchberger", counting)
-    monkeypatch.setattr(blowup, "saturate", marked)
+def test_strict_transform_basis_comes_from_saturation_only(monkeypatch, buchberger_inputs):
+    # every kept chart carries the basis its saturation builds on first use;
+    # the soundness checks, the dimension and the leaf check all reuse it, so
+    # Buchberger sees each strict transform exactly once
     visited = _record_leaf_checks(
         monkeypatch, lambda: resolve_curve(make_ideal("x,y", TACNODE_CHAIN))
     )
     assert len(visited) > 2
     for chart, _ in visited:
         assert chart.strict_basis is not None
-        assert outside[chart.strict_ideal.generators, "grevlex"] == 0
+        assert buchberger_inputs[chart.strict_ideal.generators, "grevlex"] == 1
 
 
 def test_resolution_without_a_certificate_repeats_no_basis(buchberger_inputs):
     # the certificate computed up front supplies the dimension, so nothing
-    # reduces the curve a second time to find it
+    # reduces the curve a second time to find it; the chart that holds no
+    # fiber point gets no strict basis and no fiber algebra of its full fiber
     resolve_curve(make_ideal("x,y,z", "y^2 - x^2 - x^3", "z - x*y"))
-    assert sum(buchberger_inputs.values()) == 11
+    assert sum(buchberger_inputs.values()) == 9
     assert set(buchberger_inputs.values()) == {1}
+
+
+def test_fourbar_case_runs_twelve_bases_and_one_leaf(monkeypatch, buchberger_inputs):
+    # charts x and u have empty fibers and chart v holds only points that
+    # chart y counts: they get no strict basis, no check and no leaf
+    from realcurve import FourBarParams, analyze_fourbar
+
+    params = FourBarParams.of(Q(7), Q(3, 2))
+    models = _summarized_models(monkeypatch, lambda: analyze_fourbar(params))
+    assert sum(buchberger_inputs.values()) == 12
+    assert [[(c.depth, c.chart_index) for c in model.charts] for model in models] == [[(1, 1)]]
+    fiber = fiber_summary(models[0])
+    assert (fiber.real_points, fiber.complex_points, fiber.nonreduced_real_points) == (2, 2, 0)
+
+
+def test_chart_holding_only_an_earlier_fiber_point_is_kept(monkeypatch):
+    # emptiness is decided on the composed restricted fiber over the original
+    # point: below the root a chart can miss its own center and still carry
+    # a point of an earlier blow-up, here the t = 2 node of the first one
+    from realcurve import classify_point, ideal_sum
+
+    chain = make_ideal("x,y", "((y - x)^2 - x^4)*((y - 2x)^2 - x^4)")
+    visited = _record_leaf_checks(monkeypatch, lambda: classify_point(chain, [0, 0]))
+    [(chart, singular)] = [(c, s) for c, s in visited if (c.depth, c.chart_index) == (2, 1)]
+    assert singular is not None
+    names = chart.chart_variables
+    own_center = ideal(names, (chart_poly(v, chart) for v in names.names))
+    assert is_unit_ideal(ideal_sum(chart.strict_ideal, own_center))
+    assert max(c.depth for c, _ in visited) == 3
+    result = classify_point(chain, [0, 0])
+    assert result.verdict.label == "not-manifold-point"
+    fiber = result.certificate.fiber
+    assert (fiber.real_points, fiber.complex_points, fiber.nonreduced_real_points) == (4, 4, 0)
+    assert result.certificate.blowup_depth == 3
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +482,23 @@ def _summarized_models(monkeypatch, run):
     return models
 
 
+def _fibered_charts(monkeypatch, run):
+    """Run `run` and return every chart whose restricted fiber algebra it builds."""
+    from realcurve import blowup
+
+    charts = []
+    original = blowup._fiber_algebra
+
+    def recording(chart):
+        charts.append(chart)
+        return original(chart)
+
+    with monkeypatch.context() as m:
+        m.setattr(blowup, "_fiber_algebra", recording)
+        run()
+    return charts
+
+
 def _germ_run(text):
     from realcurve import classify_point
 
@@ -469,8 +518,10 @@ NILRADICAL_RUNS = AGREEMENT_RUNS + NONREDUCED_GERMS
 def test_nilradical_locus_agrees_with_seidenberg_quotient(monkeypatch, label, run):
     from realcurve import nonreduced_locus, zerodim_radical
 
-    models = _summarized_models(monkeypatch, run)
-    fibers = [fiber_ideal(chart, dedup=False) for model in models for chart in model.charts]
+    # every chart of every blow-up, the ones dropped for an empty restricted
+    # fiber included: their full fibers can still be non-reduced
+    charts = _fibered_charts(monkeypatch, run)
+    fibers = {fiber_ideal(chart, dedup=False) for chart in charts}
     fibers = [full for full in fibers if not is_unit_ideal(full)]
     assert fibers
     nonreduced = 0
@@ -504,3 +555,99 @@ def test_fiber_summary_reduces_each_full_fiber_once(monkeypatch):
     fulls = Counter(fiber_ideal(chart, dedup=False).generators for chart in model.charts)
     for gens, leaves in fulls.items():
         assert calls[gens, "grevlex"] == leaves
+
+
+# ---------------------------------------------------------------------------
+# the resolution against the keep-every-chart reference
+
+
+def _recorded_resolutions(monkeypatch, run):
+    """Run `run` and return the (ideal, max_depth) of every resolve_curve call."""
+    from realcurve import decide
+
+    calls = []
+    original = decide.resolve_curve
+
+    def recording(i, max_depth=6, **kwargs):
+        calls.append((i, max_depth))
+        return original(i, max_depth, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(decide, "resolve_curve", recording)
+        run()
+    return calls
+
+
+def _resolution_outcome(resolve, i, max_depth):
+    from realcurve.errors import DepthExceeded, IrrationalSingularFiberPoint
+
+    try:
+        model = resolve(i, max_depth)
+    except (DepthExceeded, IrrationalSingularFiberPoint) as exc:
+        return type(exc).__name__
+    return model.depth, fiber_summary(model)
+
+
+GERM_KINDS = {
+    "line": "{L}",
+    "tacnode": "({L})^2 - x^4",
+    "cusp": "({L})^2 - x^3",
+    "conj": "({L})^2 + {k}*x^2",
+    "irr2": "({L})^2 - {k}*x^2",
+    "irr3": "({L})^3 - {k}*x^3",
+}
+
+
+def _seeded_germ(kinds, rng):
+    """A product of factors of these kinds at pairwise distinct rational slopes."""
+    slopes = set()
+    while len(slopes) < len(kinds):
+        slopes.add(Q(rng.randint(-9, 9), rng.randint(1, 4)))
+    factors = []
+    for kind, slope in zip(kinds, sorted(slopes)):
+        line = f"{slope.denominator}*y - ({slope.numerator})*x"
+        k = rng.choice((2, 3, 5, 6, 7))
+        factors.append("(" + GERM_KINDS[kind].format(L=line, k=k) + ")")
+    return "*".join(factors)
+
+
+def _reference_cases():
+    """(label, resolutions) pairs; resolutions(monkeypatch) lists (ideal, max_depth)."""
+    import random
+    from itertools import combinations_with_replacement
+
+    from realcurve import analyze_fourbar
+
+    def through_decide(run):
+        return lambda monkeypatch: _recorded_resolutions(monkeypatch, run)
+
+    cases = [(f"golden:{name}", through_decide(_golden_run(name))) for name in GOLDENS]
+    for k in (2, 3, 4):
+        chain = make_ideal("x,y", "*".join(f"((y - {j}x)^2 - x^4)" for j in range(1, k + 1)))
+        cases.append((f"tacnode-chain:{k}", lambda monkeypatch, c=chain, d=k + 1: [(c, d)]))
+    rng = random.Random(15)
+    kind_sets = [(kind,) for kind in GERM_KINDS]
+    kind_sets += list(combinations_with_replacement(GERM_KINDS, 2))
+    for kinds in kind_sets:
+        germ = _germ_run(_seeded_germ(kinds, rng))
+        cases.append((f"germ:{'+'.join(kinds)}", through_decide(germ)))
+    for params in _seeded_fourbars(5, seed=15):
+        run = lambda p=params: analyze_fourbar(p)  # noqa: E731
+        cases.append((f"fourbar:{params.l2},{params.l4}", through_decide(run)))
+    return cases
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+@pytest.mark.parametrize(
+    "label, resolutions", REFERENCE_CASES, ids=[label for label, _ in REFERENCE_CASES]
+)
+def test_resolution_matches_the_keep_every_chart_reference(monkeypatch, label, resolutions):
+    from conftest import reference_resolve_curve
+
+    calls = resolutions(monkeypatch)
+    assert calls
+    for i, max_depth in calls:
+        expected = _resolution_outcome(reference_resolve_curve, i, max_depth)
+        assert _resolution_outcome(resolve_curve, i, max_depth) == expected

@@ -178,6 +178,9 @@ def test_saturate_runs_one_homogeneous_and_one_grevlex_basis(monkeypatch):
         calls.clear()
         res = saturate(make_ideal("x,t,y", *gens), make_ideal("x,t,y", "t"))
         assert res.iterations == expected
+        # the basis of the limit is built on first use, once
+        assert calls == [(("x", "y", "h", "t"), "grevlex")]
+        assert res.basis is res.basis
         assert calls == [(("x", "y", "h", "t"), "grevlex"), (("x", "t", "y"), "grevlex")]
 
 
