@@ -173,8 +173,8 @@ def _charts(
     """Chart by chart, the blow-up of the origin before any strict basis.
 
     Yields each chart with its saturation, whose basis is computed only on
-    first use, and the substituted ideal whose generators its pullbacks map
-    i to.  _with_strict_basis finishes a chart that is kept.
+    first use, and the substituted ideal: the images of the generators of i
+    under the chart's pullbacks.  _with_strict_basis finishes a kept chart.
     """
     n = len(i.variables)
     if any(g.constant_term() != 0 for g in i.generators):
@@ -316,6 +316,7 @@ def _resolve_chart(
             chart = _compose_chart(state, chart)
         algebra = _fiber_algebra(chart)
         if algebra.gb.is_unit():
+            # the reduced basis is {1}: no fiber point is counted on this chart
             continue
         chart = _with_strict_basis(chart, strict, substituted, blown_up)
         # at the root the ideal blown up is the original one

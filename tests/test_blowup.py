@@ -435,14 +435,17 @@ def test_chart_holding_only_an_earlier_fiber_point_is_kept(monkeypatch):
     from realcurve import classify_point, ideal_sum
 
     chain = make_ideal("x,y", "((y - x)^2 - x^4)*((y - 2x)^2 - x^4)")
-    visited = _record_leaf_checks(monkeypatch, lambda: classify_point(chain, [0, 0]))
+    results = []
+    visited = _record_leaf_checks(
+        monkeypatch, lambda: results.append(classify_point(chain, [0, 0]))
+    )
     [(chart, singular)] = [(c, s) for c, s in visited if (c.depth, c.chart_index) == (2, 1)]
     assert singular is not None
     names = chart.chart_variables
     own_center = ideal(names, (chart_poly(v, chart) for v in names.names))
     assert is_unit_ideal(ideal_sum(chart.strict_ideal, own_center))
     assert max(c.depth for c, _ in visited) == 3
-    result = classify_point(chain, [0, 0])
+    [result] = results
     assert result.verdict.label == "not-manifold-point"
     fiber = result.certificate.fiber
     assert (fiber.real_points, fiber.complex_points, fiber.nonreduced_real_points) == (4, 4, 0)
@@ -521,7 +524,7 @@ def test_nilradical_locus_agrees_with_seidenberg_quotient(monkeypatch, label, ru
     # every chart of every blow-up, the ones dropped for an empty restricted
     # fiber included: their full fibers can still be non-reduced
     charts = _fibered_charts(monkeypatch, run)
-    fibers = {fiber_ideal(chart, dedup=False) for chart in charts}
+    fibers = dict.fromkeys(fiber_ideal(chart, dedup=False) for chart in charts)
     fibers = [full for full in fibers if not is_unit_ideal(full)]
     assert fibers
     nonreduced = 0
