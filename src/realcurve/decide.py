@@ -98,7 +98,7 @@ def classify_point(
     """
     check_max_depth(max_depth)
     if not is_on_variety(i, point):
-        raise PointNotOnVariety(f"point {tuple(point)} is not on V(I)")
+        raise PointNotOnVariety(point)
     at_origin = translate_ideal(i, point)
 
     cert = radicality_certificate(at_origin)

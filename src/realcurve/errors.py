@@ -44,7 +44,11 @@ class DimensionUnknown(RealCurveError):
 
 
 class PointNotOnVariety(RealCurveError):
-    """The given point does not satisfy all generators."""
+    """The given point does not satisfy all generators; carries the point."""
+
+    def __init__(self, point):
+        self.point = tuple(point)
+        super().__init__(f"point ({', '.join(map(str, self.point))}) is not on the variety")
 
 
 class OriginNotOnVariety(RealCurveError):

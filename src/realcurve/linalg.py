@@ -1,11 +1,12 @@
 """Exact rational linear algebra and univariate real-root counting and isolation.
 
 Every result is exact; there are no floating-point code paths anywhere in
-this module.  A RationalMatrix holds `fractions.Fraction` entries, but its
-products, kernels, ranks and signatures run on its integer image: one
-positive common denominator and the integer numerators over it.  Kernels and
-ranks come from one fraction-free Gauss-Jordan elimination, and signatures
-from the pivots of one fraction-free symmetric elimination; each row (each
+this module.  A RationalMatrix is one positive denominator times integer
+entries, kept in lowest terms like a `Polynomial`'s content times primitive
+terms, so its products, kernels, ranks and signatures run on integers and
+`fractions.Fraction` appears only in the entry views.  Kernels and ranks
+come from one fraction-free Gauss-Jordan elimination, and signatures from
+the pivots of one fraction-free symmetric elimination; each row (each
 remaining block, for signatures) is divided by its content after every step,
 so the integers stay no larger than Bareiss's minors (Bareiss 1968).
 Univariate polynomials are one-variable `Polynomial`s: minimal polynomials
@@ -17,21 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import Sequence
 
 from .errors import NotSquare, NotSymmetric, VariableSetMismatch, ZeroPolynomial
 from .groebner import normal_form
-from .polynomials import Polynomial, VariableSet, exact_divide
+from .polynomials import Polynomial, VariableSet, _as_fraction, exact_divide
 
 Q = Fraction
 
 Z_RING = VariableSet.of("z")
-
-
-def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def require_univariate(f: Polynomial) -> None:
@@ -176,21 +172,31 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g <= 1 else [x // g for x in row]
 
 
-def _fractions(ints: Sequence[int], den: int) -> tuple[Fraction, ...]:
-    return tuple(map(Q, ints)) if den == 1 else tuple(Q(x, den) for x in ints)
-
-
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Dense matrix of Fractions, row-major.
+    """Dense rational matrix: row-major integers `ints` over a positive `den`.
 
-    The arithmetic that costs more than one pass over the entries runs on
-    `integer_image`, which is not part of == or hash.
+    The form is canonical, gcd(den, *ints) == 1, so the zero matrix has
+    den 1 and == and hash compare values.  `entries`, `at` and `row` are
+    Fraction views made on demand.
     """
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    ints: tuple[int, ...]
+    den: int = 1
+
+    def __post_init__(self) -> None:
+        ints, den = tuple(self.ints), self.den
+        if len(ints) != self.rows * self.cols or den == 0:
+            raise ValueError("a matrix needs rows * cols entries and a nonzero denominator")
+        g = gcd(den, *ints)
+        if den < 0:
+            g = -g
+        if g != 1:
+            ints, den = tuple(x // g for x in ints), den // g
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "RationalMatrix":
@@ -201,36 +207,26 @@ class RationalMatrix:
             if len(row) != c:
                 raise ValueError("ragged rows")
             flat.extend(_as_fraction(x) for x in row)
-        return RationalMatrix(r, c, tuple(flat))
-
-    @staticmethod
-    def from_integer_image(rows: int, cols: int, den: int, ints: Sequence[int]) -> "RationalMatrix":
-        """The matrix ints / den, for a positive den; keeps (den, ints) as its image."""
-        m = RationalMatrix(rows, cols, _fractions(ints, den))
-        m.__dict__["integer_image"] = (den, tuple(ints))
-        return m
-
-    @cached_property
-    def integer_image(self) -> tuple[int, tuple[int, ...]]:
-        """(den, ints): a positive common denominator and the row-major numerators over it."""
-        den = lcm(*(x.denominator for x in self.entries))
-        return den, tuple(x.numerator * (den // x.denominator) for x in self.entries)
+        den = lcm(*(x.denominator for x in flat))
+        return RationalMatrix(r, c, [x.numerator * (den // x.denominator) for x in flat], den)
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix(
-            n, n, tuple(Q(1) if i == j else Q(0) for i in range(n) for j in range(n))
-        )
+        return RationalMatrix(n, n, [int(i == j) for i in range(n) for j in range(n)])
 
     @staticmethod
     def zero(r: int, c: int) -> "RationalMatrix":
-        return RationalMatrix(r, c, (Q(0),) * (r * c))
+        return RationalMatrix(r, c, (0,) * (r * c))
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        return tuple(Q(x, self.den) for x in self.ints)
 
     def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        return Q(self.ints[i * self.cols + j], self.den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return tuple(Q(x, self.den) for x in self.ints[i * self.cols : (i + 1) * self.cols])
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -238,24 +234,22 @@ class RationalMatrix:
     def is_symmetric(self) -> bool:
         if not self.is_square():
             return False
-        return all(
-            self.at(i, j) == self.at(j, i)
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+        n, a = self.rows, self.ints
+        return all(a[i * n + j] == a[j * n + i] for i in range(n) for j in range(i + 1, n))
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self.ints)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch in matrix sum")
-        return RationalMatrix(
-            self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries))
-        )
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        ints = [fa * x + fb * y for x, y in zip(self.ints, other.ints)]
+        return RationalMatrix(self.rows, self.cols, ints, den)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return RationalMatrix(self.rows, self.cols, [-x for x in self.ints], self.den)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
@@ -263,13 +257,11 @@ class RationalMatrix:
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        da, a = self.integer_image
-        db, b = other.integer_image
-        product = integer_product(a, b, self.rows, self.cols, other.cols)
-        return RationalMatrix.from_integer_image(self.rows, other.cols, da * db, product)
+        product = integer_product(self.ints, other.ints, self.rows, self.cols, other.cols)
+        return RationalMatrix(self.rows, other.cols, product, self.den * other.den)
 
     def _echelon(self) -> tuple[list[list[int]], list[int]]:
-        """Reduced row echelon form of the integer image: (rows, pivot columns).
+        """Reduced row echelon form of the integer entries: (rows, pivot columns).
 
         Fraction-free Gauss-Jordan: a pivot p clears f from another row as
         p * row - f * pivot row, and the row is then divided by its content.
@@ -277,8 +269,7 @@ class RationalMatrix:
         pivot columns, so dividing it by that pivot gives the unique reduced
         row echelon form of the matrix.
         """
-        _, ints = self.integer_image
-        c = self.cols
+        ints, c = self.ints, self.cols
         m = [_primitive(list(ints[i * c : (i + 1) * c])) for i in range(self.rows)]
         pivots: list[int] = []
         for col in range(c):
@@ -334,18 +325,17 @@ def symmetric_signature(m: RationalMatrix) -> tuple[int, int]:
 
 
 def _congruence_pivots(m: RationalMatrix) -> list[int]:
-    """The nonzero pivots of a symmetric elimination of m's integer image.
+    """The nonzero pivots of a symmetric elimination of m's integer entries.
 
     Any nonzero diagonal entry of the active block can be the pivot.  When
     the diagonal is all zero and a[p][k] != 0, adding row k and column k to
     row p and column p puts 2 a[p][k] on the diagonal, so no 2x2 pivot
     blocks are needed.  A pivot a[p][p] leaves |a[p][p]| times its Schur
     complement, which stays integral, and the remaining block is then
-    divided by the gcd of its entries.  The image's denominator and both
-    scalings are positive, so the pivot signs are those of m's elimination.
+    divided by the gcd of its entries.  m's denominator and both scalings
+    are positive, so the pivot signs are those of m's elimination.
     """
-    n = m.rows
-    _, ints = m.integer_image
+    n, ints = m.rows, m.ints
     a = [list(ints[i * n : (i + 1) * n]) for i in range(n)]
     active = list(range(n))
     pivots = []

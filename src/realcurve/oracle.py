@@ -63,7 +63,7 @@ def halfbranch_count(
     if any(r <= 0 for r in schedule):
         raise ValueError("sphere radii must be positive")
     if not is_on_variety(i, point):
-        raise PointNotOnVariety(f"point {tuple(point)} is not on V(I)")
+        raise PointNotOnVariety(point)
     dimension = krull_dimension(i)
     if dimension != 1:
         raise NotACurve(dimension)

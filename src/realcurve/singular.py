@@ -213,7 +213,7 @@ def is_smooth_at(
     only for radical equidimensional ideals, hence the certificate gate.
     """
     if not is_on_variety(i, point):
-        raise PointNotOnVariety(f"point {tuple(point)} is not on the variety")
+        raise PointNotOnVariety(point)
     if certificate is None:
         certificate = radicality_certificate(i)
     if not certificate.known and not assume_radical:

@@ -2,11 +2,11 @@
 
 A zero-dimensional ideal has a finite-dimensional quotient; its standard
 monomials (those outside the leading-term ideal) form a vector-space basis and
-multiplication by each variable becomes a rational matrix, kept as one
-positive denominator times an integer matrix.  Those matrices need only the
-normal forms of the border monomials x_v * b_j outside the basis; every
-other product, the multiplication matrix of any element and the coordinates
-of every b_i * b_j, comes from integer matrix products.  Distinct complex
+multiplication by each variable becomes a `RationalMatrix`: one positive
+denominator times an integer matrix.  Those matrices need only the normal
+forms of the border monomials x_v * b_j outside the basis; every other
+product, the multiplication matrix of any element and the coordinates of
+every b_i * b_j, comes from integer matrix products.  Distinct complex
 and real solution counts then come out of the Hermite trace form: its rank is
 the number of distinct complex points and its signature the number of real
 ones, both read exactly off the pivots of one symmetric elimination.  Any
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
+from itertools import product
 from math import gcd, lcm, prod
 from typing import Iterable
 
@@ -61,13 +61,11 @@ class PointCounts:
 class ZeroDimAlgebra:
     """Quotient algebra data: standard monomial basis and multiplication matrices.
 
-    The multiplication matrix of variable v is kept as its integer image
-    (den_v, N_v): M_v = N_v / den_v, with N_v row-major.  `structure`
-    builds all of them once, from the normal forms of the border monomials
-    x_v * b_j outside the basis; a column whose x_v * b_j is a basis
-    monomial is a unit vector.  algebra_from_basis builds it to check that
-    the matrices commute.  Neither it nor `mult_matrices` takes part in ==
-    or hash.
+    `mult_matrices` holds the multiplication matrix M_v = N_v / den_v of
+    each variable v, built once from the normal forms of the border
+    monomials x_v * b_j outside the basis; a column whose x_v * b_j is a
+    basis monomial is a unit vector.  algebra_from_basis builds them to
+    check that they commute.  They take no part in == or hash.
     """
 
     ideal: IdealPresentation
@@ -79,8 +77,8 @@ class ZeroDimAlgebra:
         return len(self.basis)
 
     @cached_property
-    def structure(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(den_v, N_v) for each variable v, with M_v = N_v / den_v."""
+    def mult_matrices(self) -> tuple[RationalMatrix, ...]:
+        """M_v = N_v / den_v for each variable v, in the ring's order."""
         d = self.dimension
         index = {e: k for k, e in enumerate(self.basis)}
         border: dict[Exponent, tuple[int, dict[int, int]]] = {}  # shared by the variables
@@ -102,13 +100,8 @@ class ZeroDimAlgebra:
             for j, (c, column) in enumerate(columns):
                 for k, x in column.items():
                     ints[k * d + j] = x * (den // c)
-            out.append((den, tuple(ints)))
+            out.append(RationalMatrix(d, d, ints, den))
         return tuple(out)
-
-    @cached_property
-    def mult_matrices(self) -> tuple[RationalMatrix, ...]:
-        d = self.dimension
-        return tuple(RationalMatrix.from_integer_image(d, d, *m) for m in self.structure)
 
     def monomial_image(self, e: Exponent, cache: dict) -> tuple[int, list[int]]:
         """(den, N) with N / den the multiplication matrix of x^e, den = prod den_v^e_v.
@@ -128,21 +121,19 @@ class ZeroDimAlgebra:
             below = below[:v] + (below[v] - 1,) + below[v + 1 :]
         for v in reversed(steps):
             den, ints = cache[below]
-            den_v, n_v = self.structure[v]
+            m_v = self.mult_matrices[v]
             below = below[:v] + (below[v] + 1,) + below[v + 1 :]
-            cache[below] = (den * den_v, integer_product(n_v, ints, d, d, d))
+            cache[below] = (den * m_v.den, integer_product(m_v.ints, ints, d, d, d))
         return cache[e]
 
     def operator(self, f: Polynomial) -> RationalMatrix:
         """Matrix of multiplication by f; column j holds f * basis[j].
 
-        It is the sum of c_e * M^e over the terms of f, on integer images
+        It is the sum of c_e * M^e over the terms of f, on integer matrices
         over the common denominator prod_v den_v^(degree of f in v).
         """
         d = self.dimension
-        n = len(self.structure)
-        top = [max(f.degree_in(v), 0) for v in range(n)]
-        den = prod(self.structure[v][0] ** top[v] for v in range(n))
+        den = prod(m.den ** max(f.degree_in(v), 0) for v, m in enumerate(self.mult_matrices))
         cache: dict = {}
         acc = [0] * (d * d)
         for e, c in f.terms.items():
@@ -150,14 +141,12 @@ class ZeroDimAlgebra:
             c *= den // den_e
             acc = [x + c * y for x, y in zip(acc, ints)]
         q = f.content
-        return RationalMatrix.from_integer_image(
-            d, d, den * q.denominator, [q.numerator * x for x in acc]
-        )
+        return RationalMatrix(d, d, [q.numerator * x for x in acc], den * q.denominator)
 
     def element(self, m: RationalMatrix) -> Polynomial:
         """The normal-form polynomial whose multiplication matrix is m."""
         # basis[0] is the monomial 1, so column 0 holds the coordinates of m * 1
-        return self.lift(m.entries[:: m.cols])
+        return self.lift(Q(x, m.den) for x in m.ints[:: m.cols])
 
     def lift(self, coordinates) -> Polynomial:
         """The normal-form polynomial with these coordinates in the basis."""
@@ -207,7 +196,7 @@ def algebra_from_basis(i: IdealPresentation, gb: GroebnerBasis) -> ZeroDimAlgebr
     basis = () if gb.is_unit() else tuple(_standard_monomials(gb, n))
     algebra = ZeroDimAlgebra(i, gb, basis)
     d = len(basis)
-    images = [ints for _, ints in algebra.structure]
+    images = [m.ints for m in algebra.mult_matrices]
     for a in range(n):
         for b in range(a + 1, n):
             if integer_product(images[a], images[b], d, d, d) != integer_product(
@@ -236,7 +225,7 @@ def generating_operators(
     enlarging: list[RationalMatrix] = []
     for m in operators:
         grew = False
-        ints = m.integer_image[1]
+        ints = m.ints
         for j in range(d):
             vec = ints[j::d]
             for col, pvec in pivots:
@@ -262,22 +251,23 @@ def trace_form(algebra: ZeroDimAlgebra) -> RationalMatrix:
 
     Column j of the matrix M^(b_i) of b_i holds the coordinates c_ij of
     b_i * b_j, and Trace(b_k) is the trace of M^(b_k), so B[i][j] is
-    sum_k c_ij[k] * Trace(b_k) by linearity.  On integer images
-    M^(b_i) = N_i / D_i and Trace(b_k) = T_k / D, row i of B is the
-    integer vector T^T N_i over D_i * D, one Fraction per entry.
+    sum_k c_ij[k] * Trace(b_k) by linearity.  With M^(b_i) = N_i / D_i
+    and L = lcm(D_i), Trace(b_k) = T_k / L for an integer T_k, and row i
+    of B is the integer vector T^T N_i over D_i * L, so B is integral
+    over L².
     """
     basis, d = algebra.basis, algebra.dimension
     cache: dict = {}
     images = [algebra.monomial_image(b, cache) for b in basis]
-    traces = [Q(sum(ints[:: d + 1]), den) for den, ints in images]
-    common = lcm(*(t.denominator for t in traces))
-    weights = [t.numerator * (common // t.denominator) for t in traces]
-    entries: list = [None] * (d * d)
-    for i, (den, ints) in enumerate(images):
-        row = integer_product(weights, ints, 1, d, d)
+    common = lcm(*(den for den, _ in images))
+    weights = [sum(ints[:: d + 1]) * (common // den) for den, ints in images]
+    ints = [0] * (d * d)
+    for i, (den, n_i) in enumerate(images):
+        row = integer_product(weights, n_i, 1, d, d)
+        scale = common // den
         for j in range(i, d):
-            entries[i * d + j] = entries[j * d + i] = Q(row[j], den * common)
-    return RationalMatrix(d, d, tuple(entries))
+            ints[i * d + j] = ints[j * d + i] = row[j] * scale
+    return RationalMatrix(d, d, ints, common * common)
 
 
 def count_points(algebra: ZeroDimAlgebra) -> PointCounts:
@@ -303,8 +293,10 @@ def minimal_polynomial(m: RationalMatrix) -> Polynomial:
     powers = [RationalMatrix.identity(m.rows)]
     for _ in range(m.rows):
         powers.append(powers[-1] * m)
-    stacked = tuple(chain.from_iterable(zip(*(p.entries for p in powers))))
-    coefficients = RationalMatrix(m.rows * m.rows, m.rows + 1, stacked).kernel()[0]
+    den = lcm(*(p.den for p in powers))
+    columns = [[x * (den // p.den) for x in p.ints] for p in powers]
+    stacked = [x for row in zip(*columns) for x in row]
+    coefficients = RationalMatrix(m.rows * m.rows, m.rows + 1, stacked, den).kernel()[0]
     return Polynomial.from_terms(Z_RING, {(j,): c for j, c in enumerate(coefficients)})
 
 
@@ -330,14 +322,15 @@ def nonreduced_ideal(algebra: ZeroDimAlgebra) -> IdealPresentation | None:
     """(I : radical(I)) as I plus the annihilator of the nilradical N of A.
 
     The annihilator is the common kernel of the multiplication matrices of
-    a basis of N.  None when N = 0: A is reduced (the zero algebra of an
-    empty fiber included) and the quotient is the unit ideal.
+    a basis of N; scaling each matrix's block of rows by its denominator
+    leaves that kernel as it is.  None when N = 0: A is reduced (the zero
+    algebra of an empty fiber included) and the quotient is the unit ideal.
     """
     nil = trace_form(algebra).kernel()
     if not nil:
         return None
     d = algebra.dimension
-    stacked = tuple(x for n in nil for x in algebra.operator(algebra.lift(n)).entries)
+    stacked = [x for n in nil for x in algebra.operator(algebra.lift(n)).ints]
     return _with_lifts(algebra, RationalMatrix(len(nil) * d, d, stacked).kernel())
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import signal
 from collections import Counter
@@ -54,8 +55,15 @@ def reference_order_key(order: MonomialOrder, e: tuple) -> tuple:
     return (_grevlex_tuple(e[:k]), _grevlex_tuple(e[k:]))
 
 
+def fraction_matrix(rows: int, cols: int, entries) -> RationalMatrix:
+    """The rows x cols matrix with these row-major rational entries."""
+    entries = [Q(x) for x in entries]
+    den = math.lcm(*(x.denominator for x in entries))
+    return RationalMatrix(rows, cols, [x.numerator * (den // x.denominator) for x in entries], den)
+
+
 def reference_product(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    """a * b entry by entry in Fractions, as the package computed it before integer images."""
+    """a * b entry by entry in Fractions, as the package computed it before integer matrices."""
     n, m, k = a.rows, b.cols, a.cols
     out = [Q(0)] * (n * m)
     for i in range(n):
@@ -64,7 +72,7 @@ def reference_product(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
             if c:
                 for j in range(m):
                     out[i * m + j] += c * b.entries[t * m + j]
-    return RationalMatrix(n, m, tuple(out))
+    return fraction_matrix(n, m, out)
 
 
 def reference_kernel(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
@@ -138,7 +146,7 @@ def reference_operator(algebra, f: Polynomial) -> RationalMatrix:
         nf = normal_form(f.mul_monomial(e), algebra.gb)
         for te, tc in nf.terms.items():
             entries[index[te] * d + j] = nf.content * tc
-    return RationalMatrix(d, d, tuple(entries))
+    return fraction_matrix(d, d, entries)
 
 
 def reference_trace_form(algebra) -> RationalMatrix:
@@ -157,7 +165,7 @@ def reference_trace_form(algebra) -> RationalMatrix:
     table = [[coordinates(tuple(x + y for x, y in zip(a, b))) for b in basis] for a in basis]
     traces = [sum((row[j].get(j, 0) for j in range(d)), Q(0)) for row in table]
     entries = (sum((c * traces[k] for k, c in cell.items()), Q(0)) for row in table for cell in row)
-    return RationalMatrix(d, d, tuple(entries))
+    return fraction_matrix(d, d, entries)
 
 
 def reference_characteristic_polynomial(m: RationalMatrix) -> Polynomial:
@@ -171,7 +179,7 @@ def reference_characteristic_polynomial(m: RationalMatrix) -> Polynomial:
     coeffs = [Q(0)] * n + [Q(1)]
     a, c = RationalMatrix.zero(n, n), Q(1)
     for k in range(1, n + 1):
-        shifted = RationalMatrix(n, n, tuple(x + c * e for x, e in zip(a.entries, ident)))
+        shifted = fraction_matrix(n, n, [x + c * e for x, e in zip(a.entries, ident)])
         a = reference_product(m, shifted)
         c = -sum(a.at(i, i) for i in range(n)) / k
         coeffs[n - k] = c

@@ -243,6 +243,14 @@ def test_cli_computation_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_off_variety_point_prints_plain_coordinates(tmp_path, capsys):
+    path = _write(tmp_path, "node.ideal", NODE_TEXT)
+    assert main(["analyze", "--ideal", path, "--point", "1,2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: point (1, 2) is not on the variety\n"
+    assert "Fraction(" not in err
+
+
 def test_cli_reports_an_over_wide_degree_as_a_computation_error(tmp_path, capsys):
     path = _write(tmp_path, "wide.ideal", "vars: x,y\ny - x^70000\n")
     assert main(["analyze", "--ideal", path, "--point", "0,0"]) == 2

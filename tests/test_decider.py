@@ -60,6 +60,17 @@ def test_off_variety_point_raises(node):
         classify_point(node, [2, 1])
 
 
+def test_off_variety_error_names_the_point_once(node):
+    # classify_point, is_smooth_at and halfbranch_count share the message
+    from realcurve import halfbranch_count, is_smooth_at
+
+    for check in (classify_point, is_smooth_at, halfbranch_count):
+        with pytest.raises(PointNotOnVariety) as err:
+            check(node, [Q(2), Q(-1, 2)])
+        assert str(err.value) == "point (2, -1/2) is not on the variety"
+        assert err.value.point == (2, Q(-1, 2))
+
+
 def test_unknown_radicality_is_inconclusive():
     i = make_ideal("x,y", "x^2", "xy")
     c = classify_point(i, [0, 0])

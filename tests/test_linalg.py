@@ -23,6 +23,9 @@ from realcurve.zerodim import rational_roots
 
 from conftest import (
     block_diagonal,
+    fraction_matrix,
+    make_ideal,
+    poly,
     random_elementary_product,
     reference_characteristic_polynomial,
     reference_congruence_signature,
@@ -165,6 +168,53 @@ def test_matrix_sum_difference_and_negation():
     assert -a + a == RationalMatrix.zero(2, 2)
     with pytest.raises(ValueError):
         a + RationalMatrix.zero(2, 3)
+
+
+def _assert_canonical(m: RationalMatrix) -> None:
+    assert m.den > 0 and math.gcd(m.den, *m.ints) == 1
+    assert len(m.ints) == m.rows * m.cols
+
+
+def test_matrix_canonical_form_is_unique():
+    # in Q[x]/(2x^2 - x), with basis 1, x, multiplication by x has columns
+    # x * 1 = x and x * x = x/2
+    from realcurve.zerodim import build
+
+    algebra = build(make_ideal("x", "2x^2 - x"))
+    half = RationalMatrix.from_rows([[Q(1, 2), 0], [0, Q(1, 2)]])
+    forms = [
+        RationalMatrix.from_rows([[0, 0], [1, Q(1, 2)]]),
+        RationalMatrix.from_rows([[Q(0, 3), 0], [Q(2, 2), Q(3, 6)]]),
+        RationalMatrix.from_rows([[0, 0], [2, 1]]) * half,
+        RationalMatrix.from_rows([[0, 0], [Q(1, 3), Q(1, 6)]])
+        + RationalMatrix.from_rows([[0, 0], [Q(2, 3), Q(1, 3)]]),
+        -RationalMatrix.from_rows([[0, 0], [-1, Q(-1, 2)]]),
+        RationalMatrix(2, 2, (0, 0, 4, 2), 4),
+        RationalMatrix(2, 2, (0, 0, -2, -1), -2),
+        algebra.operator(poly("x", "x")),
+        algebra.operator(poly("4x", "x")) * half * half,
+        algebra.mult_matrices[0],
+    ]
+    for m in forms:
+        _assert_canonical(m)
+        assert m == forms[0] and hash(m) == hash(forms[0])
+        assert m.ints == (0, 0, 2, 1) and m.den == 2
+    a = forms[0]
+    zeros = (
+        RationalMatrix.zero(2, 2),
+        a - a,
+        -a + a,
+        RationalMatrix(2, 2, (0, 0, 0, 0), 7),
+        RationalMatrix.from_rows([[0, Q(0, 5)], [0, 0]]) * a,
+        algebra.operator(poly("2x^2 - x", "x")),
+    )
+    for zero in zeros:
+        _assert_canonical(zero)
+        assert zero == zeros[0] and hash(zero) == hash(zeros[0]) and zero.den == 1
+    with pytest.raises(ValueError):
+        RationalMatrix(2, 2, (0, 0, 0))
+    with pytest.raises(ValueError):
+        RationalMatrix(2, 2, (0, 0, 0, 0), 0)
 
 
 def test_kernel_of_zero_matrix_is_everything():
@@ -337,7 +387,7 @@ def test_univariate_entry_points_reject_other_rings():
 
 
 # ---------------------------------------------------------------------------
-# integer images against the Fraction references
+# integer matrices against the Fraction references
 
 
 def _random_matrix(rng: random.Random, rows: int, cols: int) -> RationalMatrix:
@@ -350,7 +400,7 @@ def _random_matrix(rng: random.Random, rows: int, cols: int) -> RationalMatrix:
                 entries.append(Q(0))
             else:
                 entries.append(Q(rng.randint(-9, 9), rng.randint(1, 6)))
-    return RationalMatrix(rows, cols, tuple(entries))
+    return fraction_matrix(rows, cols, entries)
 
 
 def test_products_match_the_fraction_reference():
@@ -360,7 +410,7 @@ def test_products_match_the_fraction_reference():
         a, b = _random_matrix(rng, n, k), _random_matrix(rng, k, m)
         product = a * b
         assert product == reference_product(a, b)
-        den, ints = product.integer_image
+        den, ints = product.den, product.ints
         assert den > 0 and product.entries == tuple(Q(x, den) for x in ints)
 
 
@@ -382,8 +432,8 @@ def test_kernels_and_ranks_match_the_fraction_reference():
 
 def _zero_diagonal_symmetric(rng: random.Random, n: int) -> RationalMatrix:
     m = _random_symmetric(rng, n)
-    return RationalMatrix(
-        n, n, tuple(Q(0) if i == j else m.at(i, j) for i in range(n) for j in range(n))
+    return fraction_matrix(
+        n, n, [Q(0) if i == j else m.at(i, j) for i in range(n) for j in range(n)]
     )
 
 
@@ -406,7 +456,7 @@ def test_signatures_match_the_fraction_elimination():
 def _hadamard_bound(m: RationalMatrix) -> int:
     # no minor of an integer matrix exceeds the product of its row lengths
     n = m.cols
-    rows = [m.integer_image[1][i * n : (i + 1) * n] for i in range(m.rows)]
+    rows = [m.ints[i * n : (i + 1) * n] for i in range(m.rows)]
     return math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in rows)
 
 
@@ -431,7 +481,7 @@ def test_congruence_pivots_stay_within_the_hadamard_bound():
     for sign in (1, -1, 1, -1):
         b = RationalMatrix.from_rows([[rng.randint(-3, 3) for _ in range(10)] for _ in range(10)])
         m = _transpose(b) * b + RationalMatrix.identity(10)
-        m = RationalMatrix(10, 10, tuple(sign * x for x in m.entries))
+        m = fraction_matrix(10, 10, [sign * x for x in m.entries])
         pivots = _congruence_pivots(m)
         assert len(pivots) == 10 and all(p * sign > 0 for p in pivots)
         assert all(abs(p) <= _hadamard_bound(m) for p in pivots)

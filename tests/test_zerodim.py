@@ -24,6 +24,7 @@ from realcurve.errors import NotZeroDimensional
 
 from conftest import (
     block_diagonal,
+    fraction_matrix,
     make_ideal,
     poly,
     random_elementary_product,
@@ -225,8 +226,8 @@ def test_minimal_polynomial_annihilates_and_divides_charpoly():
         for k in range(mu.degree_in(0) + 1):
             c = mu.content * mu.terms.get((k,), 0)
             if c:
-                acc = RationalMatrix(
-                    n, n, tuple(a + c * b for a, b in zip(acc.entries, power.entries))
+                acc = fraction_matrix(
+                    n, n, [a + c * b for a, b in zip(acc.entries, power.entries)]
                 )
             power = power * m
         assert all(x == 0 for x in acc.entries)
