@@ -61,7 +61,6 @@ from .ideals import (
     IdealPresentation,
     SaturationResult,
     basis_dimension,
-    groebner_basis,
     ideal,
     ideal_sum,
     saturate,
@@ -76,7 +75,7 @@ from .singular import (
 )
 from .zerodim import (
     ZeroDimAlgebra,
-    algebra_from_basis,
+    algebra_of,
     count_points,
     generating_operators,
     nonreduced_ideal,
@@ -332,14 +331,9 @@ def _resolve_chart(
         _resolve_chart(_translate_chart(chart, points[0]), max_depth, leaves, original)
 
 
-def _algebra(i: IdealPresentation) -> ZeroDimAlgebra:
-    """Q[x]/i from one GREVLEX basis; the zero algebra when i is the unit ideal."""
-    return algebra_from_basis(i, groebner_basis(i))
-
-
 def _fiber_algebra(chart: BlowupChart) -> ZeroDimAlgebra:
     """Q[x]/(restricted fiber); the zero algebra when that fiber is empty."""
-    return _algebra(fiber_ideal(chart, dedup=True))
+    return algebra_of(fiber_ideal(chart, dedup=True))
 
 
 def _singular_fiber(chart: BlowupChart, algebra: ZeroDimAlgebra) -> IdealPresentation | None:
@@ -380,9 +374,9 @@ def fiber_summary(model: SmoothModel) -> FiberSummary:
         counts = count_points(algebra)
         real += counts.real_distinct
         complex_count += counts.complex_distinct
-        bad = nonreduced_ideal(_algebra(fiber_ideal(chart, dedup=False)))
+        bad = nonreduced_ideal(algebra_of(fiber_ideal(chart, dedup=False)))
         if bad is None:
             continue
         dedup = ideal(chart.chart_variables, chart.dedup_constraints)
-        nonreduced_real += count_points(_algebra(ideal_sum(bad, dedup))).real_distinct
+        nonreduced_real += count_points(algebra_of(ideal_sum(bad, dedup))).real_distinct
     return FiberSummary(real, complex_count, nonreduced_real)

@@ -58,16 +58,20 @@ def _parse_point(text: str, expected: int) -> list[Fraction]:
     return coords
 
 
-def _parse_order(text: str) -> MonomialOrder:
+def _parse_order(text: str, n: int) -> MonomialOrder:
+    """The order named by text, for a ring of n variables."""
     if text == "lex":
         return LEX
     if text == "grevlex":
         return GREVLEX
     if text.startswith("elim:"):
         try:
-            return block_order(int(text.split(":", 1)[1]))
+            k = int(text.split(":", 1)[1])
         except ValueError as exc:
             raise UsageError(f"bad order {text!r}") from exc
+        if not 0 < k < n:
+            raise UsageError(f"bad order {text!r}: elim:K needs 1 <= K < {n}")
+        return block_order(k)
     raise UsageError(f"unknown order {text!r} (use lex, grevlex, or elim:K)")
 
 
@@ -112,7 +116,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_gb(args) -> int:
     i = _load_ideal(args.ideal)
-    order = _parse_order(args.order)
+    order = _parse_order(args.order, len(i.variables))
     gb = buchberger(list(i.generators), order)
     for g in gb.basis:
         sys.stdout.write(polynomial_to_string(g, order) + "\n")

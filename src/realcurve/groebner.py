@@ -224,7 +224,6 @@ class GroebnerBasis:
 
     basis: tuple[Polynomial, ...]
     order: MonomialOrder
-    reduced: bool = True
 
     @cached_property
     def divisor_table(self) -> _Reducer:
@@ -234,20 +233,11 @@ class GroebnerBasis:
             table.push(table.packed_terms(g.terms))
         return table
 
-    def leading_monomials(self) -> frozenset:
-        return frozenset(g.leading_monomial(self.order) for g in self.basis)
-
     def is_unit(self) -> bool:
         return len(self.basis) == 1 and self.basis[0].is_constant() and not self.basis[0].is_zero()
 
     def is_zero_ideal(self) -> bool:
         return not self.basis
-
-    def __iter__(self):
-        return iter(self.basis)
-
-    def __len__(self) -> int:
-        return len(self.basis)
 
 
 def _unit_basis(vars: VariableSet, order: MonomialOrder) -> GroebnerBasis:
@@ -388,20 +378,8 @@ def normal_form(
     return red.polynomial(f.vars, rem, f.content / mult)
 
 
-def ideal_membership(f: Polynomial, ideal, order: MonomialOrder = GREVLEX) -> bool:
-    """True iff f reduces to zero modulo a Groebner basis of the ideal.
-
-    Accepts an IdealPresentation, a GroebnerBasis, or a plain generator
-    sequence; with no generators the ideal is zero and only f = 0 lies in it.
-    """
-    if f.is_zero():
-        return True
-    gb = ideal
-    if not isinstance(gb, GroebnerBasis):
-        gens = list(getattr(ideal, "generators", ideal))
-        if not gens:
-            return False
-        gb = buchberger(gens, order)
+def ideal_membership(f: Polynomial, gb: GroebnerBasis) -> bool:
+    """True iff f reduces to zero modulo the Groebner basis gb."""
     return normal_form(f, gb).is_zero()
 
 

@@ -60,12 +60,9 @@ def is_unit_ideal(i: IdealPresentation) -> bool:
     return groebner_basis(i).is_unit()
 
 
-def is_subideal(
-    a: IdealPresentation, b: IdealPresentation, gb: GroebnerBasis | None = None
-) -> bool:
+def is_subideal(a: IdealPresentation, b: IdealPresentation) -> bool:
     """True when every generator of a lies in b."""
-    if gb is None:
-        gb = groebner_basis(b)
+    gb = groebner_basis(b)
     return all(ideal_membership(g, gb) for g in a.generators)
 
 

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra and univariate real-root counting and isolation.
+"""Exact rational linear algebra and univariate real-root isolation.
 
 Every result is exact; there are no floating-point code paths anywhere in
 this module.  A RationalMatrix is one positive denominator times integer
@@ -10,7 +10,7 @@ the pivots of one fraction-free symmetric elimination; each row (each
 remaining block, for signatures) is divided by its content after every step,
 so the integers stay no larger than Bareiss's minors (Bareiss 1968).
 Univariate polynomials are one-variable `Polynomial`s: minimal polynomials
-live in the ring Z_RING, and the Sturm counts and root isolation accept any
+live in the ring Z_RING, and root isolation by Sturm chains accepts any
 one-variable ring.
 """
 
@@ -78,30 +78,6 @@ def _sign_at(coeffs: Sequence[int], n: int, d: int) -> int:
 
 def _variations_at(chain: Sequence[Sequence[int]], x: Fraction) -> int:
     return _sign_variations([_sign_at(c, x.numerator, x.denominator) for c in chain])
-
-
-def _variations_at_infinity(chain: Sequence[Sequence[int]], sign: int) -> int:
-    # p has the sign of its leading coefficient at +inf; at -inf that sign
-    # flips when deg p is odd
-    return _sign_variations([_sign(c[0]) * sign ** (len(c) - 1) for c in chain])
-
-
-def sturm_real_root_count(f: Polynomial) -> int:
-    """Number of distinct real roots of a one-variable f, by Sturm's theorem.
-
-    The chain is built from f / gcd(f, f'), so multiplicities never disturb
-    the count.
-    """
-    return sturm_count_interval(f, None, None)
-
-
-def sturm_count_interval(f: Polynomial, a: Fraction | None, b: Fraction | None) -> int:
-    """Distinct real roots of a one-variable f in (a, b]; None stands for -inf / +inf."""
-    require_univariate(f)
-    chain = _sturm_coefficients(f)
-    va = _variations_at_infinity(chain, -1) if a is None else _variations_at(chain, a)
-    vb = _variations_at_infinity(chain, +1) if b is None else _variations_at(chain, b)
-    return va - vb
 
 
 def isolate_real_roots(f: Polynomial, width: Fraction) -> list[tuple[Fraction, Fraction]]:

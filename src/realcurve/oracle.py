@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NoStabilization, NotACurve, PointNotOnVariety
-from .ideals import IdealPresentation, basis_dimension, groebner_basis, ideal, krull_dimension
+from .errors import NoStabilization, NotACurve, NotZeroDimensional, PointNotOnVariety
+from .ideals import IdealPresentation, ideal, krull_dimension
 from .polynomials import Polynomial
 from .singular import is_on_variety
-from .zerodim import algebra_from_basis, count_points
+from .zerodim import algebra_of, count_points
 
 Q = Fraction
 
@@ -69,12 +69,12 @@ def halfbranch_count(
         raise NotACurve(dimension)
     previous: int | None = None
     for radius in schedule:
-        probe = sphere_probe(i, point, radius).probe_ideal
-        gb = groebner_basis(probe)
-        if basis_dimension(gb, len(i.variables)) > 0:
+        try:
+            # the unit ideal gives the zero algebra: no points
+            algebra = algebra_of(sphere_probe(i, point, radius).probe_ideal)
+        except NotZeroDimensional:
             continue  # degenerate radius
-        # the unit ideal gives the zero algebra: no points
-        current = count_points(algebra_from_basis(probe, gb)).real_distinct
+        current = count_points(algebra).real_distinct
         if previous is not None and current == previous:
             return current
         previous = current

@@ -266,9 +266,6 @@ class Polynomial:
             raise ZeroPolynomial("leading monomial of the zero polynomial")
         return max(self.terms, key=order.key)
 
-    def leading_coefficient(self, order: MonomialOrder) -> Fraction:
-        return self.content * self.terms[self.leading_monomial(order)]
-
     def sorted_terms(self, order: MonomialOrder) -> list[tuple[Exponent, Fraction]]:
         c = self.content
         return sorted(
@@ -404,17 +401,12 @@ class Polynomial:
 
     # -- normal forms ----------------------------------------------------------
 
-    def primitive(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
-        """Drop the content and make the leading coefficient positive."""
+    def primitive(self) -> "Polynomial":
+        """Drop the content and make the grevlex leading coefficient positive."""
         if not self.terms:
             return self
-        lc = self.terms[self.leading_monomial(order)]
+        lc = self.terms[self.leading_monomial(GREVLEX)]
         return Polynomial(self.vars, self.terms, 1 if lc > 0 else -1)
-
-    def monic(self, order: MonomialOrder) -> "Polynomial":
-        if not self.terms:
-            return self
-        return Polynomial(self.vars, self.terms, Q(1, self.terms[self.leading_monomial(order)]))
 
 
 # ---------------------------------------------------------------------------

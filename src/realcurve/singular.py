@@ -118,22 +118,18 @@ def _is_complete_intersection(i: IdealPresentation, dim: int) -> bool:
     return dim >= 0 and len(i.generators) == len(i.variables) - dim
 
 
-def singular_locus_ideal(
-    i: IdealPresentation, *, assume_equidimensional: bool = False
-) -> IdealPresentation:
+def singular_locus_ideal(i: IdealPresentation) -> IdealPresentation:
     """I plus the codimension-sized minors of its jacobian.
 
-    Only meaningful for equidimensional ideals, so callers must either pass an
-    ideal whose shape certifies that (principal, or a complete intersection)
-    or explicitly assume it.
+    Only meaningful for equidimensional ideals, so the ideal's shape must
+    certify that (principal, or a complete intersection); any other ideal
+    raises DimensionUnknown.
     """
     dim = krull_dimension(i)
     if dim == -1:
         return ideal(i.variables, (Polynomial.one(i.variables),))
-    if not assume_equidimensional and not _is_complete_intersection(i, dim):
-        raise DimensionUnknown(
-            "equidimensionality not certified; pass assume_equidimensional if known"
-        )
+    if not _is_complete_intersection(i, dim):
+        raise DimensionUnknown("equidimensionality not certified: not a complete intersection")
     codim = len(i.variables) - dim
     return ideal_sum(i, minors_ideal(jacobian(i), codim))
 

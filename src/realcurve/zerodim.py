@@ -64,7 +64,7 @@ class ZeroDimAlgebra:
     `mult_matrices` holds the multiplication matrix M_v = N_v / den_v of
     each variable v, built once from the normal forms of the border
     monomials x_v * b_j outside the basis; a column whose x_v * b_j is a
-    basis monomial is a unit vector.  algebra_from_basis builds them to
+    basis monomial is a unit vector.  algebra_of builds them to
     check that they commute.  They take no part in == or hash.
     """
 
@@ -176,22 +176,22 @@ def _standard_monomials(gb: GroebnerBasis, n: int) -> list[Exponent]:
 def build(i: IdealPresentation) -> ZeroDimAlgebra:
     """Assemble basis and commuting multiplication matrices for a 0-dim ideal.
 
-    One GREVLEX basis serves both the algebra and the zero-dimensionality
-    test; the unit ideal is rejected too, since it has no points.
+    The unit ideal is rejected too, since it has no points.
     """
-    gb = groebner_basis(i, GREVLEX)
-    if gb.is_unit():
+    algebra = algebra_of(i)
+    if algebra.gb.is_unit():
         raise NotZeroDimensional("the unit ideal is not zero-dimensional")
-    return algebra_from_basis(i, gb)
+    return algebra
 
 
-def algebra_from_basis(i: IdealPresentation, gb: GroebnerBasis) -> ZeroDimAlgebra:
-    """The algebra Q[x]/i from a reduced GREVLEX basis of i.
+def algebra_of(i: IdealPresentation) -> ZeroDimAlgebra:
+    """The algebra Q[x]/i, from one reduced GREVLEX basis of i.
 
     The unit ideal gives the zero algebra, with no basis monomials; an ideal
     of positive dimension raises NotZeroDimensional.  The multiplication
     matrices are built here, and must commute: N_a N_b == N_b N_a.
     """
+    gb = groebner_basis(i, GREVLEX)
     n = len(i.variables)
     basis = () if gb.is_unit() else tuple(_standard_monomials(gb, n))
     algebra = ZeroDimAlgebra(i, gb, basis)

@@ -10,15 +10,11 @@ from fractions import Fraction
 
 import pytest
 
-from realcurve import (
-    IdealPresentation,
-    MonomialOrder,
-    Polynomial,
-    RationalMatrix,
-    VariableSet,
-    ideal,
-    parse_polynomial,
-)
+from realcurve import IdealPresentation, Polynomial, VariableSet
+from realcurve.ideals import ideal
+from realcurve.linalg import RationalMatrix
+from realcurve.parsing import parse_polynomial
+from realcurve.polynomials import MonomialOrder
 
 Q = Fraction
 
@@ -248,8 +244,10 @@ def reference_resolve_curve(i: IdealPresentation, max_depth: int = 6):
     """
     from dataclasses import replace
 
-    from realcurve import blowup, jacobian, rank_at, rational_points
+    from realcurve import blowup
     from realcurve.errors import DepthExceeded, IrrationalSingularFiberPoint
+    from realcurve.singular import jacobian, rank_at
+    from realcurve.zerodim import rational_points
 
     n = len(i.variables)
     if rank_at(jacobian(i), [Q(0)] * n) == n - 1:

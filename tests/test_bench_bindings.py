@@ -1,9 +1,10 @@
-"""The package still has every name the benchmark binds by string.
+"""The package still has every name the benchmark binds by string or reads.
 
 `bench/tracer.py` wraps each `module.function` in its `WRAPPED` tuple with
-`getattr`, and `bench/run.py` reads `realcurve.groebner._SELF_CHECK`.  Deleting
-one of those names breaks the traced benchmark run, so the tracer's list is
-read here with `ast`, without importing anything from `bench/`.
+`getattr`, `bench/run.py` reads `realcurve.groebner._SELF_CHECK`, and the
+workloads and self-tests call the package as `rc.<name>`.  Deleting one of
+those names breaks the benchmark, so its sources are read here with `ast`,
+without importing anything from `bench/`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import ast
 import importlib
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def _wrapped_names() -> tuple[str, ...]:
@@ -39,3 +41,39 @@ def test_self_check_toggle_exists():
     from realcurve import groebner
 
     assert hasattr(groebner, "_SELF_CHECK")
+
+
+def _package_reads() -> tuple[set[tuple[str, ...]], set[str]]:
+    """Attribute chains bench/*.py reads off `rc` or `realcurve`, and the submodules it imports."""
+    chains: set[tuple[str, ...]] = set()
+    imports: set[str] = set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports.update(a.name for a in node.names if a.name.startswith("realcurve."))
+            elif isinstance(node, ast.Attribute):
+                chain = []
+                while isinstance(node, ast.Attribute):
+                    chain.append(node.attr)
+                    node = node.value
+                if isinstance(node, ast.Name) and node.id in ("rc", "realcurve"):
+                    chains.add(tuple(reversed(chain)))
+    return chains, imports
+
+
+def test_every_name_the_bench_reads_off_the_package_resolves():
+    chains, imports = _package_reads()
+    assert {("classify_point",), ("analyze_fourbar",), ("report", "build_report")} <= chains
+    import realcurve
+
+    for name in imports:
+        importlib.import_module(name)
+    missing = []
+    for chain in sorted(chains):
+        target = realcurve
+        for attr in chain:
+            if not hasattr(target, attr):
+                missing.append(".".join(chain))
+                break
+            target = getattr(target, attr)
+    assert not missing

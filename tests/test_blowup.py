@@ -6,20 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from realcurve import (
-    blowup_origin,
-    fiber_ideal,
-    fiber_summary,
-    ideal_equal,
-    ideal_membership,
-    is_unit_ideal,
-    quotient,
-    resolve_curve,
-    ring_map,
-)
+from realcurve import resolve_curve
+from realcurve.blowup import blowup_origin, fiber_ideal, fiber_summary
 from realcurve.errors import OriginNotOnVariety
-from realcurve.ideals import ideal
+from realcurve.groebner import ideal_membership
+from realcurve.ideals import groebner_basis, ideal, ideal_equal, is_unit_ideal, quotient
 from realcurve.parsing import parse_polynomial
+from realcurve.polynomials import ring_map
 
 from conftest import make_ideal, poly
 
@@ -91,7 +84,7 @@ def test_pullback_soundness(node):
     for chart in blowup_origin(node):
         for g in node.generators:
             image = ring_map(g, chart.chart_variables, list(chart.pullbacks))
-            assert ideal_membership(image, chart.strict_ideal)
+            assert ideal_membership(image, groebner_basis(chart.strict_ideal))
 
 
 def test_pullback_soundness_check_rejects_broken_bookkeeping(node):
@@ -210,7 +203,7 @@ def test_chart_partition_counts_each_point_once(node):
     for chart in charts:
         fib = fiber_ideal(chart, dedup=True)
         if not is_unit_ideal(fib):
-            from realcurve import build, count_points
+            from realcurve.zerodim import build, count_points
 
             total_dedup += count_points(build(fib)).complex_distinct
     assert total_dedup == 2
@@ -237,15 +230,11 @@ def test_blowup_of_smooth_origin_recovers_single_reduced_point(node):
 
 
 def test_leaf_smoothness_certificate(node):
-    from realcurve import ideal_sum
-    from realcurve.singular import singular_locus_ideal
-
     model = resolve_curve(node)
     for chart in model.charts:
         if is_unit_ideal(chart.strict_ideal):
             continue
-        sing = singular_locus_ideal(chart.strict_ideal, assume_equidimensional=True)
-        assert is_unit_ideal(ideal_sum(sing, fiber_ideal(chart, dedup=True)))
+        assert is_unit_ideal(_ideal_level_singular_fiber(chart))
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +260,14 @@ def _record_leaf_checks(monkeypatch, run):
 
 
 def _ideal_level_singular_fiber(chart):
-    # the certificate in polynomial terms: singular locus plus restricted fiber
-    from realcurve import ideal_sum
-    from realcurve.singular import singular_locus_ideal
+    # the certificate in polynomial terms: singular locus (the strict ideal plus
+    # its codimension-sized jacobian minors) plus restricted fiber
+    from realcurve.ideals import ideal_sum, krull_dimension
+    from realcurve.singular import jacobian, minors_ideal
 
-    sing = singular_locus_ideal(chart.strict_ideal, assume_equidimensional=True)
+    strict = chart.strict_ideal
+    codim = len(strict.variables) - krull_dimension(strict)
+    sing = ideal_sum(strict, minors_ideal(jacobian(strict), codim))
     return ideal_sum(sing, fiber_ideal(chart, dedup=True))
 
 
@@ -355,9 +347,8 @@ def test_fiber_algebra_leaf_check_agrees_with_ideal_level_check(monkeypatch, lab
 def test_leaf_check_needs_the_span_of_several_minors():
     # on the circle, d/dx vanishes at (0, 1) and d/dy at (1, 0): neither
     # minor is a unit of the fiber algebra, but together they generate it
-    from realcurve import BlowupChart, ideal_sum
-    from realcurve.blowup import _fiber_algebra, _singular_fiber
-    from realcurve.ideals import groebner_basis
+    from realcurve.blowup import BlowupChart, _fiber_algebra, _singular_fiber
+    from realcurve.ideals import groebner_basis, ideal_sum
     from realcurve.zerodim import generating_operators
 
     strict = make_ideal("x,y", "x^2 + y^2 - 1")
@@ -432,7 +423,8 @@ def test_chart_holding_only_an_earlier_fiber_point_is_kept(monkeypatch):
     # emptiness is decided on the composed restricted fiber over the original
     # point: below the root a chart can miss its own center and still carry
     # a point of an earlier blow-up, here the t = 2 node of the first one
-    from realcurve import classify_point, ideal_sum
+    from realcurve import classify_point
+    from realcurve.ideals import ideal_sum
 
     chain = make_ideal("x,y", "((y - x)^2 - x^4)*((y - 2x)^2 - x^4)")
     results = []
@@ -458,7 +450,9 @@ def test_chart_holding_only_an_earlier_fiber_point_is_kept(monkeypatch):
 
 def _seidenberg_radical(i):
     # reference radical: adjoin the squarefree part of every coordinate eliminant
-    from realcurve import build, eliminant, ideal_sum, rename_variables, squarefree_part
+    from realcurve.ideals import ideal_sum
+    from realcurve.polynomials import rename_variables, squarefree_part
+    from realcurve.zerodim import build, eliminant
 
     algebra = build(i)
     extra = [
@@ -519,7 +513,7 @@ NILRADICAL_RUNS = AGREEMENT_RUNS + NONREDUCED_GERMS
 
 @pytest.mark.parametrize("label, run", NILRADICAL_RUNS, ids=[lbl for lbl, _ in NILRADICAL_RUNS])
 def test_nilradical_locus_agrees_with_seidenberg_quotient(monkeypatch, label, run):
-    from realcurve import nonreduced_locus, zerodim_radical
+    from realcurve.zerodim import nonreduced_locus, zerodim_radical
 
     # every chart of every blow-up, the ones dropped for an empty restricted
     # fiber included: their full fibers can still be non-reduced

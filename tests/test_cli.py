@@ -7,13 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from realcurve import ideal_to_string, parse_ideal
+from realcurve import parse_ideal
 from realcurve.cli import main
-from realcurve.errors import (
-    IdealSyntaxError,
-    UnknownVariable,
-    ZeroPolynomialLine,
-)
+from realcurve.errors import IdealSyntaxError, UnknownVariable, ZeroPolynomialLine
+from realcurve.parsing import ideal_to_string
 
 from conftest import make_ideal, poly
 
@@ -149,6 +146,16 @@ def test_cli_gb_elimination_order(tmp_path, capsys):
     assert "x - y" in out
 
 
+@pytest.mark.parametrize("order", ["elim:0", "elim:2", "elim:5"])
+def test_cli_gb_elimination_count_out_of_range(tmp_path, capsys, order):
+    # elim:K eliminates the first K variables, so it needs 1 <= K < n
+    path = _write(tmp_path, "cusp.ideal", "vars: x,y\nx^3 - y^2\n")
+    assert main(["gb", "--ideal", path, "--order", order]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error" in captured.err and order in captured.err
+
+
 def test_cli_singlocus_refuses_uncertified_input(tmp_path, capsys):
     path = _write(tmp_path, "mixed.ideal", "vars: x,y,z\n(z-1)xy\nz(z-1)\n")
     assert main(["singlocus", "--ideal", path]) == 2
@@ -264,7 +271,7 @@ def test_cli_invalid_fourbar_params(capsys):
 
 
 def test_cli_dim_on_fourbar_file(tmp_path, capsys):
-    from realcurve import fourbar_ideal
+    from realcurve.fourbar import fourbar_ideal
     from realcurve.fourbar import FourBarParams
 
     i = fourbar_ideal(FourBarParams.of(Q(3, 2), Q(3, 2)))

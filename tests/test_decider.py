@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from realcurve import FiberSummary, RadicalityReason, Verdict, classify_point, translate_ideal
-from realcurve.decide import decide_from_fiber
+from realcurve import FiberSummary, Verdict, classify_point
+from realcurve.decide import decide_from_fiber, translate_ideal
 from realcurve.errors import PointNotOnVariety
+from realcurve.singular import RadicalityReason
 
 from conftest import make_ideal
 
@@ -62,7 +63,8 @@ def test_off_variety_point_raises(node):
 
 def test_off_variety_error_names_the_point_once(node):
     # classify_point, is_smooth_at and halfbranch_count share the message
-    from realcurve import halfbranch_count, is_smooth_at
+    from realcurve import halfbranch_count
+    from realcurve.singular import is_smooth_at
 
     for check in (classify_point, is_smooth_at, halfbranch_count):
         with pytest.raises(PointNotOnVariety) as err:
@@ -195,7 +197,8 @@ def test_dimension_of_the_moved_ideal_is_computed_once(monkeypatch, case, expect
     # hands its dimension to resolve_curve; the principal route needs no
     # reduction at all; nothing else runs Buchberger on it
     import realcurve.ideals as ideals_module
-    from realcurve import FourBarParams, fourbar_ideal, grashof_singular_point
+    from realcurve import FourBarParams
+    from realcurve.fourbar import fourbar_ideal, grashof_singular_point
 
     if case == "fourbar":
         params = FourBarParams.of(Q(7, 3), Q(5, 4))

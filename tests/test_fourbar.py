@@ -6,18 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from realcurve import (
-    FourBarParams,
-    Verdict,
-    analyze_fourbar,
-    fourbar_ideal,
-    grashof_singular_point,
-    is_unit_ideal,
-    krull_dimension,
-    singular_locus_ideal,
-)
+from realcurve import FourBarParams, Verdict, analyze_fourbar
 from realcurve.errors import InvalidParams, NotSingularFamily
-from realcurve.singular import is_on_variety
+from realcurve.fourbar import fourbar_ideal, grashof_singular_point
+from realcurve.ideals import is_unit_ideal, krull_dimension
+from realcurve.singular import is_on_variety, singular_locus_ideal
 
 from conftest import poly
 
@@ -68,7 +61,7 @@ def test_non_degenerate_family_rejected():
 
 
 def test_jacobian_rank_drops_at_singular_point():
-    from realcurve import jacobian, rank_at
+    from realcurve.singular import jacobian, rank_at
 
     params = FourBarParams.of(Q(3, 2), Q(3, 2))
     i = fourbar_ideal(params)
@@ -79,7 +72,7 @@ def test_jacobian_rank_drops_at_singular_point():
 def test_non_grashof_instance_is_globally_smooth():
     i = fourbar_ideal(FourBarParams.of(Q(1), Q(1), Q(1)))
     assert krull_dimension(i) == 1
-    assert is_unit_ideal(singular_locus_ideal(i, assume_equidimensional=True))
+    assert is_unit_ideal(singular_locus_ideal(i))
 
 
 def test_analyze_instance_three_halves():

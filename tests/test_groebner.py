@@ -10,22 +10,17 @@ from operator import add, le, sub
 
 import pytest
 
-from realcurve import (
-    GREVLEX,
-    LEX,
+from realcurve import Polynomial
+from realcurve.groebner import (
     GroebnerBasis,
-    Polynomial,
-    block_order,
+    _Reducer,
     buchberger,
-    eliminate,
-    ideal_equal,
     ideal_membership,
     is_groebner_basis,
     normal_form,
 )
-from realcurve.groebner import _Reducer
-from realcurve.ideals import ideal
-from realcurve.polynomials import FIELD_BITS
+from realcurve.ideals import eliminate, groebner_basis, ideal, ideal_equal
+from realcurve.polynomials import FIELD_BITS, GREVLEX, LEX, block_order
 
 from conftest import make_ideal, poly, reference_order_key, varset
 
@@ -53,7 +48,7 @@ def test_normal_form_is_exact():
     f = poly("x^3y^2 + 7/3 x y - 5")
     g = poly("x^2 - y")
     r = normal_form(f, [g])
-    assert ideal_membership(f - r, [g])
+    assert ideal_membership(f - r, buchberger([g]))
 
 
 def test_buchberger_linear_pair():
@@ -67,20 +62,24 @@ def test_buchberger_lex_example():
     expected = [poly("x - y"), poly("y^2 - 1")]
     # same ideal both ways
     for g in expected:
-        assert ideal_membership(g, gens, LEX)
+        assert ideal_membership(g, gb)
     for g in gb.basis:
-        assert ideal_membership(g, expected, LEX)
+        assert ideal_membership(g, buchberger(expected, LEX))
     assert set(gb.basis) == set(expected)
 
 
 def test_membership_basics():
-    assert ideal_membership(poly("xy"), [poly("x")])
-    assert not ideal_membership(poly("1"), make_ideal("x,y", "x", "y"))
+    assert ideal_membership(poly("xy"), buchberger([poly("x")]))
+    assert not ideal_membership(poly("1"), groebner_basis(make_ideal("x,y", "x", "y")))
     node = poly("y^2 - x^2 - x^3")
-    assert ideal_membership(node, [node])
+    assert ideal_membership(node, buchberger([node]))
 
 
-@pytest.mark.parametrize("zero", [ideal(varset("x,y"), ()), []], ids=["presentation", "list"])
+@pytest.mark.parametrize(
+    "zero",
+    [groebner_basis(ideal(varset("x,y"), ())), buchberger([Polynomial.zero(varset("x,y"))])],
+    ids=["presentation", "list"],
+)
 def test_membership_in_the_zero_ideal(zero):
     assert ideal_membership(poly("0"), zero)
     assert not ideal_membership(poly("x"), zero)
@@ -91,7 +90,6 @@ def test_groebner_self_check_passes_on_output():
     for order in (LEX, GREVLEX):
         gb = buchberger(gens, order)
         assert is_groebner_basis(gb.basis, order)
-        assert gb.reduced
 
 
 def test_buchberger_idempotent():
@@ -105,7 +103,7 @@ def test_reduced_basis_is_monic_and_interreduced():
     gens = [poly("2x^2 + 3y"), poly("4xy - 5x")]
     gb = buchberger(gens, GREVLEX)
     for g in gb.basis:
-        assert g.leading_coefficient(GREVLEX) == 1
+        assert g.sorted_terms(GREVLEX)[0][1] == 1
         others = [h for h in gb.basis if h is not g]
         if others:
             assert normal_form(g, others, GREVLEX) == g
@@ -141,8 +139,8 @@ def test_membership_is_order_independent():
     for _ in range(15):
         gens = _random_ideal(rng, vs)
         probe = _random_ideal(rng, vs)[0]
-        assert ideal_membership(probe, gens, LEX) == ideal_membership(
-            probe, gens, GREVLEX
+        assert ideal_membership(probe, buchberger(gens, LEX)) == ideal_membership(
+            probe, buchberger(gens, GREVLEX)
         )
 
 

@@ -1,0 +1,163 @@
+"""Plane germs whose verdict and fiber counts are known by construction.
+
+A germ is a product of factors through the origin, one per kind, at pairwise
+distinct base slopes p/q (the line L = q*y - p*x is the factor's tangent, or
+the real part of its tangents), so the branches of different factors separate
+after one blow-up.  The local real picture of each kind is classical:
+
+    kind     polynomial                   real branches   complex branches
+    line     L                            1 smooth        1
+    tacnode  L^2 - x^4                    2 smooth        2
+    cusp     L^2 - x^3                    1 cusp          1
+    conj     L^2 + c*x^2   (c > 0)        0               2
+    irr2     L^2 - d*x^2   (d no square)  2 smooth        2
+    irr3     L^3 - d*x^3   (d no cube)    1 smooth        3
+
+Real branches add up over the factors, so the expected verdict and the real
+and complex fiber point counts follow from the factors alone.  The grammar is
+the benchmark's plane-germ grammar (`bench/germs.py`), copied because
+`bench/` is not importable from here.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from math import isqrt
+
+import pytest
+
+from realcurve import classify_point, parse_ideal
+
+KINDS = ("line", "tacnode", "cusp", "conj", "irr2", "irr3")
+
+# (real branches, complex branches, real branches are smooth)
+_BRANCHES = {
+    "line": (1, 1, True),
+    "tacnode": (2, 2, True),
+    "cusp": (1, 1, False),
+    "conj": (0, 2, True),
+    "irr2": (2, 2, True),
+    "irr3": (1, 3, True),
+}
+
+
+@dataclass(frozen=True)
+class Factor:
+    kind: str
+    p: int
+    q: int
+    k: int = 0  # c for conj, d for irr2 and irr3; unused otherwise
+
+    def text(self) -> str:
+        lin = f"{self.q}*y - {self.p}*x" if self.p >= 0 else f"{self.q}*y + {-self.p}*x"
+        if self.kind == "line":
+            return lin
+        if self.kind == "tacnode":
+            return f"({lin})^2 - x^4"
+        if self.kind == "cusp":
+            return f"({lin})^2 - x^3"
+        if self.kind == "conj":
+            return f"({lin})^2 + {self.k}*x^2"
+        if self.kind == "irr2":
+            return f"({lin})^2 - {self.k}*x^2"
+        return f"({lin})^3 - {self.k}*x^3"
+
+
+@dataclass(frozen=True)
+class Germ:
+    factors: tuple[Factor, ...]
+
+    @property
+    def real_branches(self) -> int:
+        return sum(_BRANCHES[f.kind][0] for f in self.factors)
+
+    @property
+    def complex_branches(self) -> int:
+        return sum(_BRANCHES[f.kind][1] for f in self.factors)
+
+    def ideal_text(self) -> str:
+        body = " * ".join(f"({f.text()})" for f in self.factors)
+        return f"vars: x, y\n{body}\n"
+
+    def expected_verdict(self) -> str:
+        real = self.real_branches
+        if real == 0:
+            return "isolated-point"
+        if real >= 2:
+            return "not-manifold-point"
+        (branch,) = [f for f in self.factors if _BRANCHES[f.kind][0]]
+        if not _BRANCHES[branch.kind][2]:
+            return "not-manifold-point"
+        if len(self.factors) == 1 and branch.kind == "line":
+            return "smooth-manifold-point"
+        return "manifold-point-at-singularity"
+
+    def expected_real_points(self) -> int | None:
+        """Real points on the resolved fiber; None when the decider short-circuits."""
+        if self.expected_verdict() == "smooth-manifold-point":
+            return None
+        return self.real_branches
+
+
+def _is_square(n: int) -> bool:
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+def _is_cube(n: int) -> bool:
+    r = round(n ** (1 / 3))
+    return any((r + e) ** 3 == n for e in (-1, 0, 1))
+
+
+def random_slope(rng: random.Random, height: int) -> tuple[int, int]:
+    """A reduced slope p/q with max(|p|, q) <= height, q >= 1."""
+    while True:
+        q = rng.randint(1, height)
+        p = rng.randint(-height, height)
+        if Fraction(p, q).denominator == q:
+            return p, q
+
+
+def make_factor(rng: random.Random, kind: str, p: int, q: int) -> Factor:
+    if kind == "conj":
+        return Factor(kind, p, q, rng.randint(1, 6))
+    if kind == "irr2":
+        return Factor(kind, p, q, rng.choice([d for d in range(2, 12) if not _is_square(d)]))
+    if kind == "irr3":
+        return Factor(kind, p, q, rng.choice([d for d in range(2, 12) if not _is_cube(d)]))
+    return Factor(kind, p, q)
+
+
+def random_germ(rng: random.Random, kinds, height: int = 4) -> Germ:
+    """One factor of each listed kind, at pairwise distinct small-height base slopes."""
+    slopes: list[tuple[int, int]] = []
+    while len(slopes) < len(kinds):
+        s = random_slope(rng, height)
+        if s not in slopes:
+            slopes.append(s)
+    return Germ(tuple(make_factor(rng, k, p, q) for k, (p, q) in zip(kinds, slopes)))
+
+
+GERM_KINDS = [(kind,) for kind in KINDS] + list(itertools.combinations_with_replacement(KINDS, 2))
+
+
+@pytest.mark.parametrize("kinds", GERM_KINDS, ids="-".join)
+def test_seeded_germ_matches_its_construction(kinds):
+    # a string seed is hashed by random itself, so each germ is the same on every run
+    germ = random_germ(random.Random("-".join(kinds)), kinds)
+    c = classify_point(parse_ideal(germ.ideal_text()), [0, 0], max_depth=8)
+    fiber = c.certificate.fiber
+    got = (
+        c.verdict.value,
+        fiber.real_points if fiber else None,
+        fiber.complex_points if fiber else None,
+    )
+    smooth = germ.expected_verdict() == "smooth-manifold-point"
+    want = (
+        germ.expected_verdict(),
+        germ.expected_real_points(),
+        None if smooth else germ.complex_branches,
+    )
+    assert got == want, germ.ideal_text()

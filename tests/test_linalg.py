@@ -8,17 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from realcurve import (
-    Polynomial,
+from realcurve import Polynomial, VariableSet
+from realcurve.errors import NotSquare, NotSymmetric, VariableSetMismatch, ZeroPolynomial
+from realcurve.linalg import (
     RationalMatrix,
-    VariableSet,
-    multivariate_gcd,
-    squarefree_part,
-    sturm_real_root_count,
+    isolate_real_roots,
     symmetric_signature,
 )
-from realcurve.errors import NotSquare, NotSymmetric, VariableSetMismatch, ZeroPolynomial
-from realcurve.linalg import isolate_real_roots, sturm_count_interval
+from realcurve.polynomials import multivariate_gcd, ring_map, squarefree_part
 from realcurve.zerodim import rational_roots
 
 from conftest import (
@@ -39,26 +36,26 @@ Q = Fraction
 
 
 def test_sturm_no_real_roots():
-    assert sturm_real_root_count(zpoly([1, 0, 1])) == 0  # z^2 + 1
+    assert len(isolate_real_roots(zpoly([1, 0, 1]), Q(1))) == 0  # z^2 + 1
 
 
 def test_sturm_one_real_root():
-    assert sturm_real_root_count(zpoly([-5, 0, 0, 1])) == 1  # z^3 - 5
+    assert len(isolate_real_roots(zpoly([-5, 0, 0, 1]), Q(1))) == 1  # z^3 - 5
 
 
 def test_sturm_two_real_roots():
-    assert sturm_real_root_count(zpoly([-2, 0, 1])) == 2  # z^2 - 2
+    assert len(isolate_real_roots(zpoly([-2, 0, 1]), Q(1))) == 2  # z^2 - 2
 
 
 def test_sturm_counts_distinct_roots_only():
     # (z-1)^2 * (z+2)
     f = zpoly([1, -2, 1]) * zpoly([2, 1])
-    assert sturm_real_root_count(f) == 2
+    assert len(isolate_real_roots(f, Q(1))) == 2
 
 
 def test_sturm_zero_polynomial_rejected():
     with pytest.raises(ZeroPolynomial):
-        sturm_real_root_count(zpoly([]))
+        isolate_real_roots(zpoly([]), Q(1))
 
 
 def test_signature_identity():
@@ -115,10 +112,10 @@ def test_signature_matches_sturm_interval_counts():
         if multivariate_gcd(p, p.partial_derivative(0)).degree_in(0) > 0:
             continue  # repeated eigenvalue; Sturm counts distinct roots only
         n_plus, n_minus = symmetric_signature(m)
-        assert n_plus == sturm_count_interval(p, Q(0), None)
-        assert n_minus == sturm_count_interval(p, None, Q(0)) - (
-            1 if p.constant_term() == 0 else 0
-        )
+        # p(z^2) has the real roots ±sqrt(r) for each root r > 0 of p, and 0 if p(0) = 0
+        z = Polynomial.variable(p.vars, 0)
+        assert n_plus == len(isolate_real_roots(ring_map(p, p.vars, [z * z]), Q(1))) // 2
+        assert n_minus == len(isolate_real_roots(ring_map(p, p.vars, [-z * z]), Q(1))) // 2
         assert n_plus + n_minus + (1 if p.constant_term() == 0 else 0) == m.rows
         checked += 1
 
@@ -281,7 +278,7 @@ def test_sturm_count_matches_sympy():
     rng = random.Random(101)
     for _ in range(40):
         f = _random_factored(rng)
-        assert sturm_real_root_count(f) == _to_sympy(sympy, f).sqf_part().count_roots()
+        assert len(isolate_real_roots(f, Q(1))) == _to_sympy(sympy, f).sqf_part().count_roots()
 
 
 def test_rational_roots_match_sympy(hang_guard):
@@ -377,8 +374,6 @@ def test_characteristic_polynomial_matches_sympy():
 def test_univariate_entry_points_reject_other_rings():
     f = Polynomial.from_terms(VariableSet.of("x", "y"), {(2, 0): 1, (0, 0): -2})
     for call in (
-        lambda: sturm_real_root_count(f),
-        lambda: sturm_count_interval(f, Q(0), None),
         lambda: rational_roots(f),
         lambda: isolate_real_roots(f, Q(1)),
     ):

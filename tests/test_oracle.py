@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from realcurve import halfbranch_count, sphere_probe
+from realcurve import halfbranch_count
 from realcurve.errors import NotACurve, PointNotOnVariety
+from realcurve.oracle import sphere_probe
 
 from conftest import make_ideal
 

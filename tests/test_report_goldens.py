@@ -99,14 +99,14 @@ def test_structure_constants_match_normal_forms_on_every_golden_algebra(monkeypa
     from conftest import reference_operator, reference_trace_form
 
     algebras = []
-    original = zerodim.algebra_from_basis
+    original = zerodim.algebra_of
 
-    def recording(i, gb):
-        algebras.append(original(i, gb))
+    def recording(i):
+        algebras.append(original(i))
         return algebras[-1]
 
-    monkeypatch.setattr(zerodim, "algebra_from_basis", recording)
-    monkeypatch.setattr(blowup, "algebra_from_basis", recording)
+    monkeypatch.setattr(zerodim, "algebra_of", recording)
+    monkeypatch.setattr(blowup, "algebra_of", recording)
     for text in FIXTURES.values():
         classify_point(parse_ideal(text), [0, 0], max_depth=8)
     analyze_fourbar(FourBarParams.of(Q(3, 2), Q(3, 2)))

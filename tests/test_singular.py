@@ -6,20 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from realcurve import (
+from realcurve.errors import DimensionUnknown, PointNotOnVariety, RankTooLarge
+from realcurve.ideals import is_unit_ideal, krull_dimension
+from realcurve.singular import (
     RadicalityReason,
     RadicalityVerdict,
+    is_on_variety,
     is_smooth_at,
-    is_unit_ideal,
     jacobian,
-    krull_dimension,
     minors_ideal,
     radicality_certificate,
     rank_at,
     singular_locus_ideal,
 )
-from realcurve.errors import DimensionUnknown, PointNotOnVariety, RankTooLarge
-from realcurve.singular import is_on_variety
 
 from conftest import make_ideal, poly
 
@@ -149,7 +148,7 @@ def test_principal_squarefree_singular_locus_is_small():
 
 
 def test_minors_over_multiplication_matrices_match_polynomial_minors():
-    from realcurve import build
+    from realcurve.zerodim import build
     from realcurve.singular import minors
 
     a = build(make_ideal("x,y", "x^2 - 2", "y^2 - 3"))
