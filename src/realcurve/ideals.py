@@ -6,7 +6,9 @@ themselves.  Intersections use the classical t-trick (eliminate t from
 t*I + (1-t)*J) and quotients go generator by generator through
 intersections.  Saturation by a variable needs neither: it reads the
 saturated ideal off one GREVLEX basis of the homogenized generators with that
-variable ordered last (Bayer's method).
+variable ordered last (Bayer's method).  The gcd of two polynomials f and g
+is f divided by the one generator of <f> : <g>, so the package has no
+Euclidean gcd of its own.
 """
 
 from __future__ import annotations
@@ -148,6 +150,22 @@ def quotient(i: IdealPresentation, j: IdealPresentation) -> IdealPresentation:
             part = ideal(i.variables, (exact_divide(f, g) for f in meet.generators))
         result = part if result is None else intersect(result, part)
     return result
+
+
+def multivariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Primitive gcd over Q, read off the ideal quotient <f> : <g>.
+
+    In a UFD, <f> : <g> = <f / gcd(f, g)> (Cox–Little–O'Shea, ch. 4 §3).
+    The quotient has one generator: `intersect` keeps the t-free members of
+    a reduced basis, and the reduced basis of <lcm(f, g)> is {lcm(f, g)}.
+    """
+    f._check_same_ring(g)
+    if f.is_zero() or g.is_zero():
+        return (f + g).primitive()
+    if f.is_constant() or g.is_constant():
+        return Polynomial.one(f.vars)
+    (q,) = quotient(ideal(f.vars, (f,)), ideal(f.vars, (g,))).generators
+    return exact_divide(f, q).primitive()
 
 
 @dataclass(frozen=True)

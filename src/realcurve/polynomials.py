@@ -25,6 +25,10 @@ as ints compares the field lists lexicographically, which is the monomial
 order, and key(a + b) == key(a) + key(b) as long as no field reaches
 2**FIELD_BITS.  ``key`` raises DegreeTooLarge once the degree reaches that
 bound instead of mis-ordering.
+
+This module has no gcd of its own: ``squarefree_part`` takes its gcds from
+``ideals.multivariate_gcd``, which reads them off an ideal quotient.
+``is_squarefree`` usually decides modulo a prime without any gcd over Q.
 """
 
 from __future__ import annotations
@@ -324,13 +328,6 @@ class Polynomial:
             return Polynomial.zero(self.vars)
         return Polynomial(self.vars, self.terms, self.content * c)
 
-    def mul_monomial(self, e: Exponent) -> "Polynomial":
-        return Polynomial(
-            self.vars,
-            {tuple(x + y for x, y in zip(t, e)): k for t, k in self.terms.items()},
-            self.content,
-        )
-
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
@@ -513,91 +510,14 @@ def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -
     return Polynomial(f.vars, quotient, f.content / g.content)
 
 
-def _coefficients_in(f: Polynomial, var: int) -> dict[int, Polynomial]:
-    """View f as univariate in var with polynomial coefficients."""
-    out: dict[int, dict[Exponent, int]] = {}
-    for e, c in f.terms.items():
-        d = e[var]
-        stripped = list(e)
-        stripped[var] = 0
-        out.setdefault(d, {})[tuple(stripped)] = c
-    return {d: Polynomial(f.vars, t, f.content) for d, t in out.items()}
-
-
-def _active_vars(f: Polynomial) -> set[int]:
-    active: set[int] = set()
-    for e in f.terms:
-        for i, k in enumerate(e):
-            if k:
-                active.add(i)
-    return active
-
-
-def _pseudo_remainder(f: Polynomial, g: Polynomial, var: int) -> Polynomial:
-    """prem(f, g) with respect to var, up to a nonzero rational factor.
-
-    Each step keeps only the primitive part of r * lc(g) - g * lead, so the
-    content, which the gcd loop discards anyway, cannot grow from step to step.
-    """
-    dg = g.degree_in(var)
-    gc = _coefficients_in(g, var)
-    lc = gc[dg]
-    r = f
-    while not r.is_zero() and r.degree_in(var) >= dg:
-        dr = r.degree_in(var)
-        rc = _coefficients_in(r, var)
-        lead = rc[dr]
-        shift = [0] * len(f.vars)
-        shift[var] = dr - dg
-        r = (r * lc - g * lead.mul_monomial(tuple(shift))).primitive()
-    return r
-
-
-def multivariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Primitive gcd over Q by recursive content / primitive-part reduction.
-
-    Adequate at desk scale; the base case is the Euclidean algorithm hidden in
-    the pseudo-remainder loop over the last active variable.
-    """
-    f._check_same_ring(g)
-    vars = f.vars
-    if f.is_zero():
-        return g.primitive() if not g.is_zero() else g
-    if g.is_zero():
-        return f.primitive()
-    if f.is_constant() or g.is_constant():
-        return Polynomial.one(vars)
-    active = _active_vars(f) | _active_vars(g)
-    var = max(active)
-
-    def content_wrt(p: Polynomial) -> Polynomial:
-        coeffs = list(_coefficients_in(p, var).values())
-        acc = coeffs[0]
-        for c in coeffs[1:]:
-            acc = multivariate_gcd(acc, c)
-            if acc.is_constant():
-                return Polynomial.one(vars)
-        return acc.primitive()
-
-    cf, cg = content_wrt(f), content_wrt(g)
-    fp = exact_divide(f, cf)
-    gp = exact_divide(g, cg)
-    if fp.degree_in(var) < gp.degree_in(var):
-        fp, gp = gp, fp
-    while not gp.is_zero():
-        r = _pseudo_remainder(fp, gp, var)
-        if not r.is_zero():
-            r = exact_divide(r, content_wrt(r))
-        fp, gp = gp, r
-    result = exact_divide(fp, content_wrt(fp)) * multivariate_gcd(cf, cg)
-    return result.primitive()
-
-
 def squarefree_part(f: Polynomial) -> Polynomial:
     """f divided by gcd(f, all partial derivatives), content-normalized.
 
-    For univariate input this is the classical f / gcd(f, f').
+    For univariate input this is the classical f / gcd(f, f').  The gcd
+    comes from the ideal layer, which imports this module.
     """
+    from .ideals import multivariate_gcd
+
     if f.is_zero():
         raise ZeroPolynomial("squarefree part of the zero polynomial")
     if f.is_constant():

@@ -139,7 +139,7 @@ def reference_operator(algebra, f: Polynomial) -> RationalMatrix:
     d = algebra.dimension
     entries = [Q(0)] * (d * d)
     for j, e in enumerate(algebra.basis):
-        nf = normal_form(f.mul_monomial(e), algebra.gb)
+        nf = normal_form(f * Polynomial(f.vars, {e: 1}), algebra.gb)
         for te, tc in nf.terms.items():
             entries[index[te] * d + j] = nf.content * tc
     return fraction_matrix(d, d, entries)
@@ -273,6 +273,20 @@ def reference_resolve_curve(i: IdealPresentation, max_depth: int = 6):
 
     resolve(blowup._identity_chart(i))
     return blowup.SmoothModel(tuple(leaves))
+
+
+# Six distinct factors of a surface in Q[x, y, z].  A recursive
+# pseudo-remainder gcd ran for minutes on the squarefree part of their
+# product with the second factor squared.
+SURFACE_FACTORS = (
+    "x + y + z - 1",
+    "x - 2y + 3z",
+    "y - x - 2x^2 - 1",
+    "2x + y - z + 3",
+    "3x - y + 2z + 1",
+    "x + 3y - 2",
+)
+SURFACE_WITH_A_SQUARE = "*".join(f"({t})" for t in SURFACE_FACTORS + SURFACE_FACTORS[1:2])
 
 
 @pytest.fixture

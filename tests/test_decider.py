@@ -11,7 +11,7 @@ from realcurve.decide import decide_from_fiber, translate_ideal
 from realcurve.errors import PointNotOnVariety
 from realcurve.singular import RadicalityReason
 
-from conftest import make_ideal
+from conftest import SURFACE_WITH_A_SQUARE, make_ideal
 
 Q = Fraction
 
@@ -173,6 +173,13 @@ def test_six_tacnode_chain_finishes(hang_guard):
         real_points=12, complex_points=12, nonreduced_real_points=0
     )
     assert c.certificate.blowup_depth == 7
+
+
+def test_surface_with_a_squared_factor_is_inconclusive(hang_guard):
+    # the exact squarefree test finds the square, so radicality stays uncertified
+    c = classify_point(make_ideal("x,y,z", SURFACE_WITH_A_SQUARE), [0, 0, 0])
+    assert c.verdict is Verdict.INCONCLUSIVE
+    assert not c.certificate.radicality.known
 
 
 def test_translation_invariance(node):

@@ -29,7 +29,7 @@ from math import isqrt
 
 import pytest
 
-from realcurve import classify_point, parse_ideal
+from realcurve import Verdict, classify_point, halfbranch_count, parse_ideal
 
 KINDS = ("line", "tacnode", "cusp", "conj", "irr2", "irr3")
 
@@ -143,10 +143,7 @@ def random_germ(rng: random.Random, kinds, height: int = 4) -> Germ:
 GERM_KINDS = [(kind,) for kind in KINDS] + list(itertools.combinations_with_replacement(KINDS, 2))
 
 
-@pytest.mark.parametrize("kinds", GERM_KINDS, ids="-".join)
-def test_seeded_germ_matches_its_construction(kinds):
-    # a string seed is hashed by random itself, so each germ is the same on every run
-    germ = random_germ(random.Random("-".join(kinds)), kinds)
+def _check_construction(germ: Germ):
     c = classify_point(parse_ideal(germ.ideal_text()), [0, 0], max_depth=8)
     fiber = c.certificate.fiber
     got = (
@@ -161,3 +158,32 @@ def test_seeded_germ_matches_its_construction(kinds):
         None if smooth else germ.complex_branches,
     )
     assert got == want, germ.ideal_text()
+
+
+@pytest.mark.parametrize("kinds", GERM_KINDS, ids="-".join)
+def test_seeded_germ_matches_its_construction(kinds):
+    # a string seed is hashed by random itself, so each germ is the same on every run
+    _check_construction(random_germ(random.Random("-".join(kinds)), kinds))
+
+
+def test_drawn_germs_match_their_construction_and_the_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(
+        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=3),
+        rng=st.randoms(use_true_random=False),
+    )
+    def check(kinds, rng):
+        germ = random_germ(rng, kinds)
+        _check_construction(germ)
+        i = parse_ideal(germ.ideal_text())
+        assert halfbranch_count(i, [0, 0]) == 2 * germ.real_branches, germ.ideal_text()
+        # a repeated factor leaves radicality uncertified, through the exact gcd
+        squared = Germ(germ.factors + (rng.choice(germ.factors),))
+        c = classify_point(parse_ideal(squared.ideal_text()), [0, 0], max_depth=8)
+        assert c.verdict is Verdict.INCONCLUSIVE, squared.ideal_text()
+        assert not c.certificate.radicality.known, squared.ideal_text()
+
+    check()

@@ -10,12 +10,13 @@ import pytest
 
 from realcurve import Polynomial, VariableSet
 from realcurve.errors import NotSquare, NotSymmetric, VariableSetMismatch, ZeroPolynomial
+from realcurve.ideals import multivariate_gcd
 from realcurve.linalg import (
     RationalMatrix,
     isolate_real_roots,
     symmetric_signature,
 )
-from realcurve.polynomials import multivariate_gcd, ring_map, squarefree_part
+from realcurve.polynomials import ring_map, squarefree_part
 from realcurve.zerodim import rational_roots
 
 from conftest import (

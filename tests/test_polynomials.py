@@ -11,6 +11,7 @@ import pytest
 
 from realcurve import Polynomial, VariableSet
 from realcurve.errors import VariableSetMismatch
+from realcurve.ideals import multivariate_gcd
 from realcurve.polynomials import (
     FIELD_BITS,
     GREVLEX,
@@ -18,13 +19,12 @@ from realcurve.polynomials import (
     MonomialOrder,
     block_order,
     exact_divide,
-    multivariate_gcd,
     rename_variables,
     ring_map,
     squarefree_part,
 )
 
-from conftest import poly, reference_order_key, varset
+from conftest import SURFACE_FACTORS, SURFACE_WITH_A_SQUARE, poly, reference_order_key, varset
 
 Q = Fraction
 
@@ -551,6 +551,27 @@ def test_is_squarefree_on_products_of_known_factors(names, most, fallbacks):
         assert not fallbacks  # decided modulo p
         squared = f * rng.choice(fs)
         assert not is_squarefree(squared) and not _exactly_squarefree(squared)
+
+
+def test_multivariate_gcd_of_three_variable_products_of_known_factors(hang_guard):
+    rng = random.Random(97)
+    one = Polynomial.one(varset("x,y,z"))
+    for _ in range(6):
+        fs = _known_factors(rng, "x,y,z", 7)
+        s = math.prod(fs[:3], start=one).scale(Q(rng.choice((-3, 5)), 2))
+        a = math.prod(fs[3:5], start=one)
+        b = math.prod(fs[5:], start=one)
+        assert multivariate_gcd(s * a, s * b) == s.primitive()
+
+
+def test_squarefree_part_of_a_three_variable_surface_finishes(hang_guard, fallbacks):
+    from realcurve.polynomials import is_squarefree
+
+    f = poly(SURFACE_WITH_A_SQUARE, "x,y,z")
+    assert not is_squarefree(f)
+    assert fallbacks == [f]
+    distinct = math.prod((poly(t, "x,y,z") for t in SURFACE_FACTORS), start=poly("1", "x,y,z"))
+    assert squarefree_part(f) == distinct.primitive()
 
 
 def test_is_squarefree_sees_a_repeated_factor_in_one_variable(fallbacks):

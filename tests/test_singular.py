@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -118,12 +119,19 @@ def test_certificate_unknown_for_nonradical():
     assert cert.dimension == 1
 
 
-def test_certificate_unknown_for_fat_principal(buchberger_inputs):
+def test_certificate_unknown_for_fat_principal(buchberger_inputs, monkeypatch):
+    import realcurve.singular as singular
+
+    def no_basis(i):
+        raise AssertionError("a principal ideal's dimension needs no basis")
+
+    monkeypatch.setattr(singular, "krull_dimension", no_basis)
     cert = radicality_certificate(make_ideal("x,y", "x^2"))
     assert cert.verdict is RadicalityVerdict.UNKNOWN
-    # a principal ideal's dimension needs no basis
     assert cert.dimension == 1
-    assert not buchberger_inputs
+    # the one basis is the exact fallback's gcd(x^2, x), read off <x^2> : <x>
+    gens = (poly("t*x^2", "t,x,y"), poly("-t*x + x", "t,x,y"))
+    assert buchberger_inputs == Counter({(gens, "elim:1"): 1})
 
 
 def test_certificate_of_a_constant_has_dimension_minus_one():
