@@ -170,7 +170,7 @@ def test_drawn_germs_match_their_construction_and_the_oracle():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    @hypothesis.settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @hypothesis.settings(max_examples=40, derandomize=True, deadline=None)
     @hypothesis.given(
         kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=3),
         rng=st.randoms(use_true_random=False),
