@@ -16,8 +16,7 @@ from typing import Sequence
 from .decide import classify_point
 from .errors import RealCurveError
 from .fourbar import FourBarParams, analyze_fourbar
-from .groebner import buchberger
-from .ideals import krull_dimension
+from .ideals import groebner_basis, krull_dimension
 from .oracle import halfbranch_count
 from .parsing import parse_ideal, polynomial_to_string
 from .polynomials import GREVLEX, LEX, MonomialOrder, block_order
@@ -46,11 +45,7 @@ def _load_ideal(path: str):
 
 
 def _parse_point(text: str, expected: int) -> list[Fraction]:
-    parts = [p.strip() for p in text.split(",")]
-    try:
-        coords = [Q(p) for p in parts]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad point {text!r}: {exc}") from exc
+    coords = [_parse_fraction(p.strip()) for p in text.split(",")]
     if len(coords) != expected:
         raise UsageError(
             f"point has {len(coords)} coordinates but the ideal has {expected} variables"
@@ -117,7 +112,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_gb(args) -> int:
     i = _load_ideal(args.ideal)
     order = _parse_order(args.order, len(i.variables))
-    gb = buchberger(list(i.generators), order)
+    gb = groebner_basis(i, order)
     for g in gb.basis:
         sys.stdout.write(polynomial_to_string(g, order) + "\n")
     return 0

@@ -28,7 +28,9 @@ bound instead of mis-ordering.
 
 This module has no gcd of its own: ``squarefree_part`` takes its gcds from
 ``ideals.multivariate_gcd``, which reads them off an ideal quotient.
-``is_squarefree`` usually decides modulo a prime without any gcd over Q.
+``certifies_squarefree`` decides modulo a prime alone and may refuse a
+squarefree input; ``is_squarefree`` is exact: it runs the same modular test
+at one point and falls back to ``squarefree_part`` when that decides nothing.
 """
 
 from __future__ import annotations
@@ -533,15 +535,15 @@ def squarefree_part(f: Polynomial) -> Polynomial:
     return exact_divide(f, g).primitive()
 
 
-# The modular squarefree certificate maps f to F_p[v] with these constants:
-# every variable other than v takes its coordinate of the evaluation point,
-# variable i the value _SQUAREFREE_SEED ** (i + 1) mod _SQUAREFREE_PRIME.
+# The modular squarefree certificate maps f to F_p[v]: every variable other
+# than v takes its coordinate of an evaluation point, and point k sets
+# variable i of n to _SQUAREFREE_SEED ** (k * n + i + 1) mod _SQUAREFREE_PRIME.
 _SQUAREFREE_PRIME = (1 << 61) - 1
 _SQUAREFREE_SEED = 0x9E3779B97F4A7C15 % _SQUAREFREE_PRIME
 
 
-def _evaluation_point(n: int) -> list[int]:
-    return [pow(_SQUAREFREE_SEED, i + 1, _SQUAREFREE_PRIME) for i in range(n)]
+def _evaluation_point(n: int, k: int = 0) -> list[int]:
+    return [pow(_SQUAREFREE_SEED, k * n + i + 1, _SQUAREFREE_PRIME) for i in range(n)]
 
 
 def _univariate_image(f: Polynomial, var: int, point: Sequence[int]) -> list[int]:
@@ -576,6 +578,35 @@ def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
     return len(a) == 1
 
 
+def _images_pass(f: Polynomial, points: Sequence[Sequence[int]]) -> bool:
+    """True when each variable v of positive degree in f passes at one of the points.
+
+    v passes at a point when the image of f in F_p[v] keeps the v-degree of
+    f and is coprime to its derivative.  Raises ZeroPolynomial for f = 0.
+    """
+    if f.is_zero():
+        raise ZeroPolynomial("squarefree test of the zero polynomial")
+    p = _SQUAREFREE_PRIME
+
+    def passes(var: int, point: Sequence[int]) -> bool:
+        g = _univariate_image(f, var, point)
+        return bool(g[-1]) and _coprime_mod_p(g, [k * c % p for k, c in enumerate(g)][1:])
+
+    n = len(f.vars)
+    return all(any(passes(v, pt) for pt in points) for v in range(n) if f.degree_in(v) > 0)
+
+
+def certifies_squarefree(f: Polynomial) -> bool:
+    """True when the modular images prove f squarefree; False decides nothing.
+
+    The test of is_squarefree at the fixed points 0, 1 and 2, with no exact
+    fallback: each variable must pass at one of them.  Its argument holds
+    per variable and at any point, so this is sound; a squarefree f unlucky
+    at point 0 usually passes at another.  Raises ZeroPolynomial for f = 0.
+    """
+    return _images_pass(f, [_evaluation_point(len(f.vars), k) for k in range(3)])
+
+
 def is_squarefree(f: Polynomial) -> bool:
     """True when f has no repeated nonconstant factor over Q.
 
@@ -587,17 +618,8 @@ def is_squarefree(f: Polynomial) -> bool:
     does lc_v(q), and the image of q, of positive degree, would divide
     gcd(g, g').  A factor of positive degree in no variable is a constant,
     so when every variable passes, f is squarefree.  Otherwise nothing is
-    decided and the answer comes from the exact squarefree_part.  Raises
-    ZeroPolynomial for f = 0.
+    decided and the answer comes from the exact squarefree_part.  The
+    radicality certificate uses certifies_squarefree instead: this test at
+    more points, without the fallback.  Raises ZeroPolynomial for f = 0.
     """
-    if f.is_zero():
-        raise ZeroPolynomial("squarefree test of the zero polynomial")
-    p = _SQUAREFREE_PRIME
-    point = _evaluation_point(len(f.vars))
-    for var in range(len(f.vars)):
-        if f.degree_in(var) <= 0:
-            continue
-        g = _univariate_image(f, var, point)
-        if not g[-1] or not _coprime_mod_p(g, [k * c % p for k, c in enumerate(g)][1:]):
-            return squarefree_part(f) == f.primitive()
-    return True
+    return _images_pass(f, [_evaluation_point(len(f.vars))]) or squarefree_part(f) == f.primitive()

@@ -5,8 +5,8 @@ ideal with squarefree generator, or a complete intersection whose singular
 locus has strictly smaller dimension (which also certifies
 equidimensionality).  Anything else reports Unknown and the caller must decide
 whether to assert radicality explicitly.  The generator of a principal ideal
-goes through `is_squarefree`, which usually decides modulo a prime and runs
-the exact gcd only when its modular images cannot decide.
+goes through `certifies_squarefree`, which decides modulo a prime with no
+gcd over Q; a generator it cannot certify gets Unknown.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 from .errors import DimensionUnknown, PointNotOnVariety, RankTooLarge
 from .ideals import IdealPresentation, ideal, ideal_sum, krull_dimension
 from .linalg import RationalMatrix
-from .polynomials import Polynomial, VariableSet, is_squarefree
+from .polynomials import Polynomial, VariableSet, certifies_squarefree
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ def radicality_certificate(i: IdealPresentation) -> RadicalityCertificate:
         f = gens[0]
         # a nonconstant f cuts out a hypersurface, a constant one nothing
         dim = -1 if f.is_constant() else len(i.variables) - 1
-        if is_squarefree(f):
+        if certifies_squarefree(f):
             return RadicalityCertificate(
                 RadicalityVerdict.RADICAL, RadicalityReason.PRINCIPAL_SQUAREFREE, dim
             )

@@ -156,6 +156,14 @@ def test_cli_gb_elimination_count_out_of_range(tmp_path, capsys, order):
     assert "usage error" in captured.err and order in captured.err
 
 
+@pytest.mark.parametrize("order", ["lex", "grevlex", "elim:1"])
+def test_cli_gb_of_the_zero_ideal_is_empty(tmp_path, capsys, order):
+    path = _write(tmp_path, "zero.ideal", "vars: x,y\n")
+    assert main(["gb", "--ideal", path, "--order", order]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == ""
+
+
 def test_cli_singlocus_refuses_uncertified_input(tmp_path, capsys):
     path = _write(tmp_path, "mixed.ideal", "vars: x,y,z\n(z-1)xy\nz(z-1)\n")
     assert main(["singlocus", "--ideal", path]) == 2
@@ -242,6 +250,14 @@ def test_cli_usage_error_exit_code(capsys):
 def test_cli_bad_point_usage_error(tmp_path, capsys):
     path = _write(tmp_path, "node.ideal", NODE_TEXT)
     assert main(["analyze", "--ideal", path, "--point", "0"]) == 1
+
+
+def test_cli_point_with_a_zero_denominator_is_a_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, "node.ideal", NODE_TEXT)
+    assert main(["analyze", "--ideal", path, "--point", "1/0,0"]) == 1
+    err = capsys.readouterr().err
+    assert err == "usage error: bad rational '1/0'\n"
+    assert "Fraction(" not in err
 
 
 def test_cli_computation_error_exit_code(tmp_path, capsys):

@@ -30,6 +30,7 @@ from math import isqrt
 import pytest
 
 from realcurve import Verdict, classify_point, halfbranch_count, parse_ideal
+from realcurve.singular import RadicalityVerdict
 
 KINDS = ("line", "tacnode", "cusp", "conj", "irr2", "irr3")
 
@@ -166,6 +167,18 @@ def test_seeded_germ_matches_its_construction(kinds):
     _check_construction(random_germ(random.Random("-".join(kinds)), kinds))
 
 
+@pytest.mark.parametrize("k", range(2, 8))
+def test_fat_tacnode_chain_is_inconclusive_without_a_basis(k, hang_guard, buchberger_inputs):
+    # the k-tacnode chain times its first factor, degree 4k + 4: an exact
+    # squarefree part of it once ran past 60 s at k = 7
+    chain = [Factor("tacnode", j, 1) for j in range(1, k + 1)]
+    fat = Germ(tuple(chain) + (chain[0],))
+    c = classify_point(parse_ideal(fat.ideal_text()), [0, 0])
+    assert c.verdict is Verdict.INCONCLUSIVE
+    assert c.certificate.radicality.verdict is RadicalityVerdict.UNKNOWN
+    assert not buchberger_inputs
+
+
 def test_drawn_germs_match_their_construction_and_the_oracle():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -180,7 +193,7 @@ def test_drawn_germs_match_their_construction_and_the_oracle():
         _check_construction(germ)
         i = parse_ideal(germ.ideal_text())
         assert halfbranch_count(i, [0, 0]) == 2 * germ.real_branches, germ.ideal_text()
-        # a repeated factor leaves radicality uncertified, through the exact gcd
+        # a repeated factor leaves radicality uncertified: no modular image passes
         squared = Germ(germ.factors + (rng.choice(germ.factors),))
         c = classify_point(parse_ideal(squared.ideal_text()), [0, 0], max_depth=8)
         assert c.verdict is Verdict.INCONCLUSIVE, squared.ideal_text()

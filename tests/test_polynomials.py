@@ -608,3 +608,67 @@ def test_is_squarefree_falls_back_when_a_leading_coefficient_vanishes(fallbacks)
         del fallbacks[:]
         assert is_squarefree(f) is expected is _exactly_squarefree(f)
         assert fallbacks == [f]
+
+
+# the radicality side: certifies_squarefree, the modular test with no fallback
+
+
+def _unlucky_at(points: int) -> Polynomial:
+    # (x - a_0) ... (x - a_(k-1)) y + 1 with a_j the x coordinate of point j:
+    # squarefree, but its image in F_p[y] loses its y-degree at those k points
+    from realcurve.polynomials import _evaluation_point
+
+    vs = varset("x,y")
+    lead = Polynomial.one(vs)
+    for k in range(points):
+        lead = lead * (poly("x") - Polynomial.constant(vs, _evaluation_point(2, k)[0]))
+    return lead * poly("y") + Polynomial.one(vs)
+
+
+@pytest.mark.parametrize("names, most", [("x,y", 5), ("x,y,z", 4)])
+def test_certifies_squarefree_on_products_of_known_factors(names, most, fallbacks):
+    from realcurve.polynomials import certifies_squarefree
+
+    rng = random.Random(307 + len(names))
+    one = Polynomial.one(varset(names))
+    for _ in range(20):
+        fs = _known_factors(rng, names, rng.randint(1, most))
+        f = math.prod(fs, start=one).scale(Q(rng.choice((-3, 1, 5)), rng.choice((1, 2))))
+        assert certifies_squarefree(f) and _exactly_squarefree(f)
+        for g in fs:
+            assert not certifies_squarefree(f * g) and not _exactly_squarefree(f * g)
+    assert not fallbacks  # the certificate never reaches the exact squarefree part
+
+
+def test_certifies_squarefree_at_a_later_point(fallbacks):
+    from realcurve import Verdict, classify_point
+    from realcurve.ideals import ideal
+    from realcurve.polynomials import _evaluation_point, _univariate_image, certifies_squarefree
+    from realcurve.singular import RadicalityReason, RadicalityVerdict
+
+    q = _unlucky_at(1)
+    assert _univariate_image(q, 1, _evaluation_point(2))[-1] == 0
+    assert _univariate_image(q, 1, _evaluation_point(2, 1))[-1] != 0
+    f = q * poly("y - x")
+    assert certifies_squarefree(f)
+    c = classify_point(ideal(f.vars, (f,)), [0, 0])
+    assert c.verdict is Verdict.SMOOTH_MANIFOLD_POINT
+    assert c.certificate.radicality.verdict is RadicalityVerdict.RADICAL
+    assert c.certificate.radicality.reason is RadicalityReason.PRINCIPAL_SQUAREFREE
+    assert not fallbacks
+
+
+def test_certifies_squarefree_refuses_an_input_built_against_every_point():
+    from realcurve import Verdict, classify_point
+    from realcurve.ideals import ideal
+    from realcurve.polynomials import certifies_squarefree, is_squarefree
+    from realcurve.singular import RadicalityVerdict
+
+    f = _unlucky_at(3) * poly("y - x")
+    assert not certifies_squarefree(f)  # a known limit: Unknown, not wrong
+    assert is_squarefree(f) and _exactly_squarefree(f)
+    i = ideal(f.vars, (f,))
+    c = classify_point(i, [0, 0])
+    assert c.verdict is Verdict.INCONCLUSIVE
+    assert c.certificate.radicality.verdict is RadicalityVerdict.UNKNOWN
+    assert classify_point(i, [0, 0], assume_radical=True).verdict is Verdict.SMOOTH_MANIFOLD_POINT

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -129,9 +128,35 @@ def test_certificate_unknown_for_fat_principal(buchberger_inputs, monkeypatch):
     cert = radicality_certificate(make_ideal("x,y", "x^2"))
     assert cert.verdict is RadicalityVerdict.UNKNOWN
     assert cert.dimension == 1
-    # the one basis is the exact fallback's gcd(x^2, x), read off <x^2> : <x>
-    gens = (poly("t*x^2", "t,x,y"), poly("-t*x + x", "t,x,y"))
-    assert buchberger_inputs == Counter({(gens, "elim:1"): 1})
+    assert not buchberger_inputs
+
+
+@pytest.mark.parametrize(
+    "names, generator, known",
+    [
+        ("x,y", "x^2", False),
+        ("x,y", "y^3 + 2x^2y - x^4", True),
+        ("x,y", "((y - x)^2 - x^4)^2 ((y - 2x)^2 - x^4)", False),
+        ("x,y,z", "(x y z - 1) (y - x) (x + z)", True),
+        ("x,y,z", "x^2 (y - x) (x y z - 1)", False),
+        ("x,y", "7", True),
+    ],
+)
+def test_principal_certificate_runs_no_exact_gcd(
+    names, generator, known, buchberger_inputs, monkeypatch
+):
+    # the modular certificate alone decides a principal ideal
+    import realcurve.ideals as ideals
+    import realcurve.polynomials as polynomials
+
+    def refuse(*args):
+        raise AssertionError("the principal certificate ran an exact gcd")
+
+    monkeypatch.setattr(polynomials, "squarefree_part", refuse)
+    monkeypatch.setattr(ideals, "multivariate_gcd", refuse)
+    cert = radicality_certificate(make_ideal(names, generator))
+    assert cert.known is known
+    assert not buchberger_inputs
 
 
 def test_certificate_of_a_constant_has_dimension_minus_one():
