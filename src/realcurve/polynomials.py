@@ -39,9 +39,9 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd as int_gcd, prod
+from math import comb, gcd as int_gcd
 from operator import add, mul, sub
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DegreeTooLarge, VariableSetMismatch, ZeroPolynomial
 
@@ -373,30 +373,56 @@ class Polynomial:
         return Polynomial(self.vars, out, self.content)
 
     def evaluate(self, point: Sequence) -> Fraction:
+        """f(p), summed over the common denominator prod d_i^(deg_i f) of p = n / d."""
         coords = [_as_fraction(x) for x in point]
         if len(coords) != len(self.vars):
             raise VariableSetMismatch("point length does not match variable count")
-        total = Q(0)
+        if not self.terms:
+            return Q(0)
+        # scaled[i][k] = n_i^k * d_i^(top_i - k), the scaled power x_i^k
+        scaled, den = [], 1
+        for i, x in enumerate(coords):
+            n, d, top = x.numerator, x.denominator, self.degree_in(i)
+            scaled.append([n**k * d ** (top - k) for k in range(top + 1)])
+            den *= d**top
+        total = 0
         for e, c in self.terms.items():
-            v = c
-            for x, k in zip(coords, e):
-                if k:
-                    v *= x**k
-            total += v
-        return self.content * total
+            for row, k in zip(scaled, e):
+                c *= row[k]
+            total += c
+        return Q(self.content.numerator * total, self.content.denominator * den)
 
     def translate(self, point: Sequence) -> "Polynomial":
-        """Return f(x + p); translating back by -p restores f."""
+        """Return f(x + p); translating back by -p restores f.
+
+        One Taylor shift per variable: x_i^j goes to sum_m C(j, m) x_i^m s^(j - m)
+        with s = n / d, scaled by d^top (top the degree of f in x_i) so that
+        every coefficient stays an integer.
+        """
         coords = [_as_fraction(x) for x in point]
         if len(coords) != len(self.vars):
             raise VariableSetMismatch("point length does not match variable count")
-        if not any(coords):
+        if not self.terms or not any(coords):
             return self
-        images = [
-            Polynomial.variable(self.vars, i) + Polynomial.constant(self.vars, c)
-            for i, c in enumerate(coords)
-        ]
-        return ring_map(self, self.vars, images)
+        terms, den = self.terms, 1
+        for i, x in enumerate(coords):
+            if not x:
+                continue
+            n, d, top = x.numerator, x.denominator, self.degree_in(i)
+            # shift[j][m] = C(j, m) * n^(j - m) * d^(top - j + m)
+            shift = [
+                [comb(j, m) * n ** (j - m) * d ** (top - j + m) for m in range(j + 1)]
+                for j in range(top + 1)
+            ]
+            out: dict[Exponent, int] = {}
+            for e, c in terms.items():
+                head, tail = e[:i], e[i + 1 :]
+                for m, s in enumerate(shift[e[i]]):
+                    t = head + (m,) + tail
+                    out[t] = out.get(t, 0) + c * s
+            terms = {e: c for e, c in out.items() if c}
+            den *= d**top
+        return Polynomial(self.vars, terms, self.content / den)
 
     # -- normal forms ----------------------------------------------------------
 
@@ -418,39 +444,36 @@ def ring_map(
     """Apply the ring homomorphism sending variable i of f to images[i].
 
     All images must live in the target ring.  This is the workhorse behind
-    blow-up chart substitutions, translations, pullback composition, and
-    variable renaming.  With images[i] = (n_i / d_i) * P_i, scaling by the
-    product of d_i^(degree of f in variable i) keeps every coefficient of
-    the expansion an integer.
+    blow-up chart substitutions, pullback composition, and variable
+    renaming.  With images[i] = (n_i / d_i) * P_i, scaling by the product of
+    d_i^(degree of f in variable i) keeps every coefficient of the expansion
+    an integer.  Each P_i^k is built once per call, as P_i^(k-1) * P_i.
     """
     if len(images) != len(f.vars):
         raise VariableSetMismatch("one image per source variable required")
     for g in images:
         if g.vars != target:
             raise VariableSetMismatch("image lives outside the target ring")
-    tops = [max(f.degree_in(i), 0) for i in range(len(images))]
-    nums = [g.content.numerator for g in images]
-    dens = [g.content.denominator for g in images]
-    pow_cache: dict[tuple[int, int], dict] = {}
-
-    def power(i: int, k: int) -> dict:
-        got = pow_cache.get((i, k))
-        if got is None:
-            got = (images[i] ** k).terms
-            pow_cache[(i, k)] = got
-        return got
-
+    # scales[i][k] = n_i^k * d_i^(top_i - k) and powers[i][k] = P_i^k
+    one = {(0,) * len(target): 1}
+    scales, powers, den = [], [], 1
+    for i, g in enumerate(images):
+        top, n, d = max(f.degree_in(i), 0), g.content.numerator, g.content.denominator
+        scales.append([n**k * d ** (top - k) for k in range(top + 1)])
+        table = [one, g.terms]
+        for _ in range(top - 1):
+            table.append(_mul_terms(table[-1], g.terms))
+        powers.append(table)
+        den *= d**top
     out: dict[Exponent, int] = {}
     for e, c in f.terms.items():
-        product = {(0,) * len(target): 1}
-        for i, k in enumerate(e):
-            c *= dens[i] ** (tops[i] - k)
+        product = one
+        for scale, table, k in zip(scales, powers, e):
+            c *= scale[k]
             if k:
-                c *= nums[i] ** k
-                product = _mul_terms(product, power(i, k))
+                product = table[k] if product is one else _mul_terms(product, table[k])
         for te, tc in product.items():
             out[te] = out.get(te, 0) + c * tc
-    den = prod(d**k for d, k in zip(dens, tops))
     return Polynomial(target, {e: c for e, c in out.items() if c}, f.content / den)
 
 
@@ -578,11 +601,12 @@ def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
     return len(a) == 1
 
 
-def _images_pass(f: Polynomial, points: Sequence[Sequence[int]]) -> bool:
+def _images_pass(f: Polynomial, points: Iterable[Sequence[int]]) -> bool:
     """True when each variable v of positive degree in f passes at one of the points.
 
     v passes at a point when the image of f in F_p[v] keeps the v-degree of
-    f and is coprime to its derivative.  Raises ZeroPolynomial for f = 0.
+    f and is coprime to its derivative.  The points are taken in order, each
+    only while a variable has not passed.  Raises ZeroPolynomial for f = 0.
     """
     if f.is_zero():
         raise ZeroPolynomial("squarefree test of the zero polynomial")
@@ -592,19 +616,24 @@ def _images_pass(f: Polynomial, points: Sequence[Sequence[int]]) -> bool:
         g = _univariate_image(f, var, point)
         return bool(g[-1]) and _coprime_mod_p(g, [k * c % p for k, c in enumerate(g)][1:])
 
-    n = len(f.vars)
-    return all(any(passes(v, pt) for pt in points) for v in range(n) if f.degree_in(v) > 0)
+    pending = [v for v in range(len(f.vars)) if f.degree_in(v) > 0]
+    for point in points:
+        pending = [v for v in pending if not passes(v, point)]
+        if not pending:
+            break
+    return not pending
 
 
 def certifies_squarefree(f: Polynomial) -> bool:
     """True when the modular images prove f squarefree; False decides nothing.
 
     The test of is_squarefree at the fixed points 0, 1 and 2, with no exact
-    fallback: each variable must pass at one of them.  Its argument holds
+    fallback: each variable must pass at one of them.  A point is built only
+    when a variable has not passed at the points before it.  Its argument holds
     per variable and at any point, so this is sound; a squarefree f unlucky
     at point 0 usually passes at another.  Raises ZeroPolynomial for f = 0.
     """
-    return _images_pass(f, [_evaluation_point(len(f.vars), k) for k in range(3)])
+    return _images_pass(f, (_evaluation_point(len(f.vars), k) for k in range(3)))
 
 
 def is_squarefree(f: Polynomial) -> bool:

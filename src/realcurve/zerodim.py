@@ -367,13 +367,17 @@ def rational_roots(p: Polynomial) -> list[Fraction]:
     within 1/(4·lc²) of the midpoint and is the fraction nearest to it with
     denominator at most lc, `limit_denominator(lc)`.  That candidate counts
     only if p vanishes there exactly and it lies in (a, b]: near an
-    irrational root it can be the root of a neighbouring interval.  Raises
-    ValueError for p = 0.
+    irrational root it can be the root of a neighbouring interval.  A p of
+    degree 1, c1·x + c0, has the one root -c0/c1 and needs no Sturm chain.
+    Raises ValueError for p = 0.
     """
     require_univariate(p)
     if p.is_zero():
         raise ValueError("rational roots of the zero polynomial")
-    lc = abs(p.terms[(p.degree_in(0),)])
+    top = p.degree_in(0)
+    if top == 1:
+        return [Q(-p.terms.get((0,), 0), p.terms[(1,)])]
+    lc = abs(p.terms[(top,)])
     roots = []
     for a, b in isolate_real_roots(p, Q(1, 2 * lc * lc)):
         candidate = ((a + b) / 2).limit_denominator(lc)

@@ -321,6 +321,32 @@ def test_rational_roots_by_construction(hang_guard):
         assert rational_roots(f) == roots
 
 
+def test_linear_rational_roots_by_construction(monkeypatch):
+    # a z - b, |a| and |b| up to 10^30, has the one root b / a: the linear
+    # path agrees with the Sturm path's root of (a z - b)(z^2 + 1) and runs no
+    # root isolation
+    import realcurve.zerodim
+
+    rng = random.Random(113)
+    top = 10**30
+    pairs = [(top, top), (-top, 1), (1, -top), (top, 0), (-7, 0), (1, 0)]
+    while len(pairs) < 30:
+        a, b = rng.randint(-top, top), rng.randint(-top, top)
+        if a:
+            pairs.append((a, b))
+    for a, b in pairs:
+        assert rational_roots(zpoly([-b, a]) * zpoly([1, 0, 1])) == [Q(b, a)]
+
+    def isolation(*args):
+        raise AssertionError("a linear p needs no root isolation")
+
+    monkeypatch.setattr(realcurve.zerodim, "isolate_real_roots", isolation)
+    for a, b in pairs:
+        assert rational_roots(zpoly([-b, a])) == [Q(b, a)]
+    with pytest.raises(ValueError):
+        rational_roots(zpoly([]))
+
+
 def test_rational_roots_edge_cases():
     # 0 and +-2^k are bisection points of (-B, B], B a power of two, so each
     # is found as the right end of its interval and stays there

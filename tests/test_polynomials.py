@@ -405,6 +405,54 @@ def test_arithmetic_agrees_with_fraction_reference():
                         exact_divide(a * b + Polynomial.one(vs), b)
 
 
+def _ref_evaluate(terms, point):
+    return sum((v * math.prod(x**k for x, k in zip(point, e)) for e, v in terms.items()), Q(0))
+
+
+def _assert_matches(got, ref):
+    _assert_canonical(got)
+    want = Polynomial.from_terms(got.vars, ref)
+    assert (got.terms, got.content) == (want.terms, want.content)
+
+
+def test_kernels_agree_with_fraction_reference_on_monomial_images_and_long_shifts():
+    rng = random.Random(43)
+    vs = varset("x,y,z")
+    unit = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+    one = {(0, 0, 0): Q(1)}
+    for _ in range(40):
+        ra = _rand_coeffs(rng, 3)
+        a = Polynomial.from_terms(vs, ra)
+        # c * x_k * x_i with rational c; x and y go to the same monomial, so
+        # the images of x^i y^j and x^j y^i merge
+        shared = tuple(map(operator.add, unit[rng.randrange(3)], unit[rng.randrange(3)]))
+        images_ref = [{shared: Q(rng.randint(-9, 9) or 1, rng.randint(1, 7))} for _ in range(2)]
+        e = tuple(map(operator.add, unit[rng.randrange(3)], unit[rng.randrange(3)]))
+        images_ref.append({e: Q(rng.randint(-9, 9) or 1, rng.randint(1, 7))})
+        images = [Polynomial.from_terms(vs, t) for t in images_ref]
+        _assert_matches(ring_map(a, vs, images), _ref_ring_map(ra, images_ref, one))
+        # degree up to 10 in x, shifts with denominators up to 7
+        rb = {
+            (k, rng.randint(0, 1), 0): Q(rng.randint(-9, 9), rng.randint(1, 3))
+            for k in range(rng.randint(1, 11))
+        }
+        rb = {e: c for e, c in rb.items() if c} or {(10, 0, 0): Q(1)}
+        b = Polynomial.from_terms(vs, rb)
+        point = [Q(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(3)]
+        shift_ref = [_ref_add({unit[i]: Q(1)}, {(0, 0, 0): p}) for i, p in enumerate(point)]
+        _assert_matches(b.translate(point), _ref_ring_map(rb, shift_ref, one))
+        assert b.evaluate(point) == _ref_evaluate(rb, point)
+        mixed = [Q(1, 2), Q(-2, 3), Q(5, 7)]
+        assert a.evaluate(mixed) == _ref_evaluate(ra, mixed)
+        assert b.evaluate(mixed) == _ref_evaluate(rb, mixed)
+    zero = Polynomial.zero(vs)
+    assert zero.translate([Q(1, 3), 2, Q(-5, 7)]) == zero
+    _assert_canonical(zero.translate([Q(1, 3), 2, Q(-5, 7)]))
+    assert zero.evaluate([Q(1, 3), 2, Q(-5, 7)]) == 0
+    f = poly("x^3y - 2/3z + 1", "x,y,z")
+    assert f.translate([0, 0, Q(0)]) is f
+
+
 def test_exact_divide_rejects_nonintegral_quotient():
     # x^2 + 1 = (2x + 1)(x/2 - 1/4) + 5/4: the primitive leading terms do not divide
     with pytest.raises(ValueError):
@@ -656,6 +704,25 @@ def test_certifies_squarefree_at_a_later_point(fallbacks):
     assert c.certificate.radicality.verdict is RadicalityVerdict.RADICAL
     assert c.certificate.radicality.reason is RadicalityReason.PRINCIPAL_SQUAREFREE
     assert not fallbacks
+
+
+def test_certifies_squarefree_builds_a_point_only_for_a_variable_still_unpassed(monkeypatch):
+    from realcurve import polynomials
+
+    passes_at_0, passes_at_1 = poly("y^2 - x^2 - x^3"), _unlucky_at(1) * poly("y - x")
+    built = []
+    evaluation_point = polynomials._evaluation_point
+
+    def counted(n, k=0):
+        built.append(k)
+        return evaluation_point(n, k)
+
+    monkeypatch.setattr(polynomials, "_evaluation_point", counted)
+    assert polynomials.certifies_squarefree(passes_at_0)
+    assert built == [0]
+    del built[:]
+    assert polynomials.certifies_squarefree(passes_at_1)
+    assert built == [0, 1]
 
 
 def test_certifies_squarefree_refuses_an_input_built_against_every_point():
