@@ -41,13 +41,23 @@ the root a chart can miss its center and still carry a point of an earlier
 blow-up.  Nor does skipping the checks hide anything: a pullback check only
 catches a strict ideal that is too small, and a smaller ideal can only
 enlarge a fiber, never empty one.
+
+Every counted chart is checked twice.  Saturation checks its strict basis
+against the substituted generators of the ideal it blew up
+(SaturationResult.basis), so every kept chart is checked against its own
+blow-up.  By induction those checks put the original generators, pulled back
+along a composed chart, into its strict ideal, since ring maps compose and a
+translation is an automorphism; they cannot see a slip in _compose_chart or
+_translate_chart.  So each leaf below the root is also checked once against
+the original ideal along its composed pullbacks; inner charts, blown up again
+and never counted, are not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     DepthExceeded,
@@ -98,9 +108,10 @@ class BlowupChart:
 
     Two computed companions ride along without taking part in comparisons:
     strict_basis, the reduced GREVLEX basis of strict_ideal that saturation
-    produced (the charts of blowup_origin and the kept charts of a
-    resolution carry it), and fiber_algebra, the restricted fiber algebra a
-    certified leaf was checked in.
+    produced and checked against the ideal blown up (the charts of
+    blowup_origin and the kept charts of a resolution carry it), and
+    fiber_algebra, the restricted fiber algebra a certified leaf was checked
+    in.
     """
 
     chart_index: int
@@ -146,34 +157,25 @@ def _hat_names(names: Sequence[str], keep: int) -> VariableSet:
     return VariableSet(tuple(out))
 
 
-def _check_pullback_soundness(
-    chart: BlowupChart,
-    original: IdealPresentation,
-    images: Iterable[Polynomial] | None = None,
-) -> None:
-    """Each generator of original, pulled back, must reduce to 0 mod strict_basis.
+def _check_pullback_soundness(chart: BlowupChart, original: IdealPresentation) -> None:
+    """Each generator of original, pulled back along the composed chart, must reduce to 0.
 
-    blowup_origin checks fresh charts against the ideal it blew up and hands
-    in the generators it has already substituted as images; the resolution
-    checks composed charts below the root against the original, whose
-    generators are pulled back here.
+    The strict basis was already checked against the ideal its own blow-up
+    started from (SaturationResult.basis); this checks the composition of
+    pullbacks through every blow-up and translation since the original.
     """
-    if images is None:
-        target, pullbacks = chart.chart_variables, list(chart.pullbacks)
-        images = (ring_map(g, target, pullbacks) for g in original.generators)
-    for image in images:
-        if not normal_form(image, chart.strict_basis).is_zero():
+    target, pullbacks = chart.chart_variables, list(chart.pullbacks)
+    for g in original.generators:
+        if not normal_form(ring_map(g, target, pullbacks), chart.strict_basis).is_zero():
             raise AssertionError("pullback of a generator escapes the strict ideal")
 
 
-def _charts(
-    i: IdealPresentation,
-) -> Iterator[tuple[BlowupChart, SaturationResult, IdealPresentation]]:
+def _charts(i: IdealPresentation) -> Iterator[tuple[BlowupChart, SaturationResult]]:
     """Chart by chart, the blow-up of the origin before any strict basis.
 
-    Yields each chart with its saturation, whose basis is computed only on
-    first use, and the substituted ideal: the images of the generators of i
-    under the chart's pullbacks.  _with_strict_basis finishes a kept chart.
+    Yields each chart with the saturation of the images of the generators of
+    i under its pullbacks; the saturation's basis, checked against those
+    images, is computed only on first use.
     """
     n = len(i.variables)
     if any(g.constant_term() != 0 for g in i.generators):
@@ -195,19 +197,7 @@ def _charts(
             depth=1,
             dedup_constraints=tuple(Polynomial.variable(chart_vars, idx) for idx in range(k)),
         )
-        yield chart, strict, substituted
-
-
-def _with_strict_basis(
-    chart: BlowupChart,
-    strict: SaturationResult,
-    substituted: IdealPresentation,
-    blown_up: IdealPresentation,
-) -> BlowupChart:
-    """The chart with saturation's basis, checked against the ideal blown up."""
-    chart = replace(chart, strict_basis=strict.basis)
-    _check_pullback_soundness(chart, blown_up, substituted.generators)
-    return chart
+        yield chart, strict
 
 
 def blowup_origin(i: IdealPresentation) -> list[BlowupChart]:
@@ -217,7 +207,7 @@ def blowup_origin(i: IdealPresentation) -> list[BlowupChart]:
     variable x_k, whose vanishing is the exceptional divisor.  Every chart
     carries its strict basis and has been checked against i.
     """
-    return [_with_strict_basis(*parts, i) for parts in _charts(i)]
+    return [replace(chart, strict_basis=strict.basis) for chart, strict in _charts(i)]
 
 
 def fiber_ideal(chart: BlowupChart, dedup: bool) -> IdealPresentation:
@@ -308,8 +298,7 @@ def _resolve_chart(
 ) -> None:
     if state.depth >= max_depth:
         raise DepthExceeded(max_depth)
-    blown_up = state.strict_ideal
-    for chart, strict, substituted in _charts(blown_up):
+    for chart, strict in _charts(state.strict_ideal):
         # composing with the identity chart at the root is a no-op
         if state.depth > 0:
             chart = _compose_chart(state, chart)
@@ -317,12 +306,13 @@ def _resolve_chart(
         if algebra.gb.is_unit():
             # the reduced basis is {1}: no fiber point is counted on this chart
             continue
-        chart = _with_strict_basis(chart, strict, substituted, blown_up)
-        # at the root the ideal blown up is the original one
-        if state.depth > 0:
-            _check_pullback_soundness(chart, original)
+        chart = replace(chart, strict_basis=strict.basis)
         singular = _singular_fiber(chart, algebra)
         if singular is None:
+            # a counted chart below the root: check the composed pullbacks
+            # once; at the root the ideal blown up is the original one
+            if state.depth > 0:
+                _check_pullback_soundness(chart, original)
             leaves.append(replace(chart, fiber_algebra=algebra))
             continue
         points, all_rational = rational_points(singular)

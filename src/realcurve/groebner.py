@@ -63,14 +63,9 @@ from .polynomials import (
 Q = Fraction
 
 # When enabled, every basis returned by buchberger() is re-verified by
-# reducing all S-polynomials of the result to zero.  Used by acceptance and
-# property suites; off by default because it roughly doubles the work.
+# reducing all S-polynomials of the result to zero.  The acceptance suite
+# sets it; off by default because it roughly doubles the work.
 _SELF_CHECK = False
-
-
-def set_self_check(enabled: bool) -> None:
-    global _SELF_CHECK
-    _SELF_CHECK = enabled
 
 
 _SLOT = FIELD_BITS + 1  # bits per exponent-word field, guard bit on top

@@ -13,7 +13,7 @@ Euclidean gcd of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -170,7 +170,7 @@ def multivariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
 
 @dataclass(frozen=True)
 class SaturationResult:
-    """The saturation (i : x_k^∞), its reduced GREVLEX basis and a diagnostic.
+    """The saturation (i : x_k^∞) of i = `source`, its reduced GREVLEX basis and a diagnostic.
 
     `iterations` is the largest power of x_k divided out of the homogeneous
     basis: the saturation index of the homogenized ideal.  For a strict
@@ -178,15 +178,21 @@ class SaturationResult:
     exceed the length of the quotient chain i ⊆ i : x_k ⊆ i : x_k^2 ⊆ ...,
     because the ideal of the homogenized generators can carry extra
     components at infinity (h = 0).  `basis` is computed on first use, so a
-    caller that only needs the generators of the limit never pays for it.
+    caller that only needs the generators of the limit never pays for it;
+    that first use also checks that every generator of `source` reduces to
+    0 by it, since i ⊆ i : x_k^∞, and raises AssertionError otherwise.
     """
 
     ideal: IdealPresentation
     iterations: int
+    source: IdealPresentation = field(compare=False, repr=False)
 
     @cached_property
     def basis(self) -> GroebnerBasis:
-        return groebner_basis(self.ideal)
+        gb = groebner_basis(self.ideal)
+        if not all(ideal_membership(g, gb) for g in self.source.generators):
+            raise AssertionError("a generator of the source escapes its saturation")
+        return gb
 
 
 def saturate(i: IdealPresentation, j: IdealPresentation) -> SaturationResult:
@@ -199,13 +205,13 @@ def saturate(i: IdealPresentation, j: IdealPresentation) -> SaturationResult:
     in(J) : x_k^∞ (Bayer–Stillman 1987; Eisenbud, Prop. 15.12), and setting
     h = 1 commutes with saturation by x_k (Cox–Little–O'Shea, ch. 8 §4).
     A second GREVLEX basis, in the original variables, comes with the limit
-    on first use.  Any other j raises ValueError.  The zero ideal is returned
-    as is.
+    on first use, checked against the generators of i.  Any other j raises
+    ValueError.  The zero ideal is returned as is.
     """
     if i.variables != j.variables:
         raise ValueError("saturation across different rings")
     if any(g.is_constant() for g in j.generators):
-        return SaturationResult(i, 0)
+        return SaturationResult(i, 0, i)
     monomials = list(j.generators[0].terms) if len(j.generators) == 1 else []
     if len(monomials) != 1 or sum(monomials[0]) != 1:
         raise ValueError(
@@ -213,7 +219,7 @@ def saturate(i: IdealPresentation, j: IdealPresentation) -> SaturationResult:
             "or a j with a constant generator"
         )
     if not i.generators:
-        return SaturationResult(i, 0)
+        return SaturationResult(i, 0, i)
     k = monomials[0].index(1)
     names = i.variables.names
     # extended ring: the other variables, then h, then x_k last
@@ -233,7 +239,7 @@ def saturate(i: IdealPresentation, j: IdealPresentation) -> SaturationResult:
         terms = {e[:k] + (e[-1] - m,) + e[k:-2]: c for e, c in g.terms.items()}
         limit.append(Polynomial(i.variables, terms))
     saturated = ideal(i.variables, limit)
-    return SaturationResult(saturated, iterations)
+    return SaturationResult(saturated, iterations, i)
 
 
 def krull_dimension(i: IdealPresentation) -> int:

@@ -27,7 +27,6 @@ class JacobianMatrix:
     """Matrix of formal partials: rows follow generators, columns variables."""
 
     variables: "VariableSet"
-    generators: tuple[Polynomial, ...]
     entries: tuple[tuple[Polynomial, ...], ...]
 
     @property
@@ -44,7 +43,7 @@ def jacobian(i: IdealPresentation) -> JacobianMatrix:
         tuple(g.partial_derivative(v) for v in range(len(i.variables)))
         for g in i.generators
     )
-    return JacobianMatrix(i.variables, i.generators, rows)
+    return JacobianMatrix(i.variables, rows)
 
 
 def rank_at(m: JacobianMatrix, point: Sequence) -> int:

@@ -14,10 +14,17 @@ from fractions import Fraction
 
 import pytest
 
-from realcurve import FourBarParams, Verdict, analyze_fourbar, classify_point, halfbranch_count
+from realcurve import (
+    FourBarParams,
+    Verdict,
+    analyze_fourbar,
+    classify_point,
+    groebner,
+    halfbranch_count,
+)
 from realcurve.decide import translate_ideal
 from realcurve.fourbar import fourbar_ideal, grashof_singular_point
-from realcurve.groebner import buchberger, set_self_check
+from realcurve.groebner import buchberger
 from realcurve.ideals import ideal, ideal_equal, krull_dimension, saturate
 from realcurve.linalg import isolate_real_roots
 from realcurve.polynomials import Polynomial, VariableSet, block_order, rename_variables
@@ -31,9 +38,9 @@ Q = Fraction
 
 @pytest.fixture(autouse=True, scope="module")
 def _paranoid_groebner():
-    set_self_check(True)
-    yield
-    set_self_check(False)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(groebner, "_SELF_CHECK", True)
+        yield
 
 
 @contextmanager

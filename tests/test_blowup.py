@@ -101,27 +101,49 @@ def test_pullback_soundness_check_rejects_broken_bookkeeping(node):
 
 
 def _record_pullback_checks(monkeypatch):
-    """(depth, chart_index) of every chart checked for pullback soundness from here on."""
+    """Every chart checked against the original ideal along its composed pullbacks."""
     from realcurve import blowup
 
     calls = []
     original = blowup._check_pullback_soundness
 
-    def counting(chart, ideal_, images=None):
-        calls.append((chart.depth, chart.chart_index))
-        original(chart, ideal_, images)
+    def recording(chart, ideal_):
+        calls.append(chart)
+        original(chart, ideal_)
 
-    monkeypatch.setattr(blowup, "_check_pullback_soundness", counting)
+    monkeypatch.setattr(blowup, "_check_pullback_soundness", recording)
     return calls
 
 
 def test_root_charts_are_checked_once(monkeypatch, node):
-    # a kept root chart is checked against the original ideal once, as the
-    # ideal blown up; the resolution adds a composed check only below the
-    # root.  Chart 1 of the node holds no fiber point and is never checked.
+    # saturation checks every kept chart against the ideal it blew up, which
+    # at the root is the original one; the composed check runs once on each
+    # leaf below the root, and never on a root chart or on an inner chart
+    # that is blown up again
     calls = _record_pullback_checks(monkeypatch)
     assert resolve_curve(node).depth == 1
-    assert calls == [(1, 0)]
+    assert calls == []
+    model = resolve_curve(make_ideal("x,y", TACNODE_CHAIN))
+    assert [c.depth for c in model.charts] == [2, 3, 4]
+    assert calls == [c for c in model.charts if c.depth >= 2]
+
+
+def test_saturation_checks_the_strict_basis_of_each_kept_chart(monkeypatch):
+    from realcurve import ideals
+
+    bases = []
+    original = ideals.ideal_membership
+
+    def recording(f, gb):
+        bases.append(gb)
+        return original(f, gb)
+
+    monkeypatch.setattr(ideals, "ideal_membership", recording)
+    model = resolve_curve(make_ideal("x,y", TACNODE_CHAIN))
+    # one source generator per kept chart: an inner chart at depths 1 to 3
+    # and a leaf at depths 2 to 4
+    assert len(bases) == 6
+    assert {id(c.strict_basis) for c in model.charts} <= set(map(id, bases))
 
 
 def test_node_chart_without_fiber_points_gets_no_basis_or_check(
@@ -133,24 +155,35 @@ def test_node_chart_without_fiber_points_gets_no_basis_or_check(
     calls = _record_pullback_checks(monkeypatch)
     model = resolve_curve(node)
     assert [(c.depth, c.chart_index) for c in model.charts] == [(1, 0)]
-    assert all(index != 1 for _, index in calls)
+    assert calls == []
+    # saturation checks a chart when it builds its basis, and this one gets none
     assert buchberger_inputs[dropped.strict_ideal.generators, "grevlex"] == 0
+
+
+# the depth-3 space curve (t, t^2, t^3) ∪ (t, t^2 + t^3, t^3) of test_ground_truth
+OSCULATING_BRANCHES = ("y - x^2", "z - x^3"), ("y - x^2 - x^3", "z - x^3")
 
 
 def test_composed_check_below_the_root_catches_broken_composition(monkeypatch):
     from dataclasses import replace
 
-    from realcurve import blowup
+    from realcurve import blowup, classify_point
+    from realcurve.ideals import intersect
 
     original = blowup._compose_chart
 
-    def reversed_pullbacks(previous, chart):
+    # a shift by one place; a reversal would undo itself after two
+    # compositions, and the space curve's leaves sit at depth 3
+    def rotated_pullbacks(previous, chart):
         composed = original(previous, chart)
-        return replace(composed, pullbacks=composed.pullbacks[::-1])
+        return replace(composed, pullbacks=composed.pullbacks[1:] + composed.pullbacks[:1])
 
-    monkeypatch.setattr(blowup, "_compose_chart", reversed_pullbacks)
+    space = intersect(*(make_ideal("x,y,z", *branch) for branch in OSCULATING_BRANCHES))
+    monkeypatch.setattr(blowup, "_compose_chart", rotated_pullbacks)
     with pytest.raises(AssertionError, match="escapes the strict ideal"):
         resolve_curve(make_ideal("x,y", TACNODE_CHAIN))
+    with pytest.raises(AssertionError, match="escapes the strict ideal"):
+        classify_point(space, [0, 0, 0], assume_radical=True)
 
 
 def test_dedup_constraints_shape(node):

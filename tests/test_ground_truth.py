@@ -21,7 +21,9 @@ the benchmark's plane-germ grammar (`bench/germs.py`), copied because
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,8 +31,18 @@ from math import isqrt
 
 import pytest
 
-from realcurve import Verdict, classify_point, halfbranch_count, parse_ideal
+from realcurve import (
+    IdealPresentation,
+    VariableSet,
+    Verdict,
+    classify_point,
+    halfbranch_count,
+    parse_ideal,
+)
+from realcurve.ideals import eliminate, intersect
 from realcurve.singular import RadicalityVerdict
+
+from conftest import make_ideal
 
 KINDS = ("line", "tacnode", "cusp", "conj", "irr2", "irr3")
 
@@ -200,3 +212,116 @@ def test_drawn_germs_match_their_construction_and_the_oracle():
         assert not c.certificate.radicality.known, squared.ideal_text()
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# space curves in Q[x, y, z]
+#
+# Each curve is a union of irreducible branches through the origin, and its
+# ideal the intersection of their prime ideals, so it is radical by
+# construction and classify_point may assume so.  A branch is a line, the
+# conjugate pair x = y^2 + z^2 = 0, a graph x -> (x, p(x), q(x)) or the image
+# of t -> (a(t), b(t), c(t)).  Blow-ups separate two graphs that agree below
+# order m and differ at order m after exactly m steps, as in the plane.
+
+
+def _line(d: tuple[int, int, int]) -> IdealPresentation:
+    """The line through the origin with direction d: the 2x2 minors of (x, y, z; d)."""
+    (x, y, z), (a, b, c) = SPACE_VARS.names, d
+    return make_ideal("x,y,z", f"{b}*{x} - {a}*{y}", f"{c}*{x} - {a}*{z}", f"{c}*{y} - {b}*{z}")
+
+
+def _graph(p: str, q: str) -> IdealPresentation:
+    return make_ideal("x,y,z", f"y - ({p})", f"z - ({q})")
+
+
+def _image(a: str, b: str, c: str) -> IdealPresentation:
+    """The image of t -> (a, b, c): the kernel of Q[x, y, z] -> Q[t], a prime."""
+    graph = make_ideal("t,x,y,z", f"x - ({a})", f"y - ({b})", f"z - ({c})")
+    return IdealPresentation(SPACE_VARS, eliminate(graph, 1).generators)
+
+
+def _union(*branches: IdealPresentation) -> IdealPresentation:
+    return functools.reduce(intersect, branches)
+
+
+SPACE_VARS = VariableSet(("x", "y", "z"))
+CONJUGATE_LINES = "x", "y^2 + z^2"
+
+# label, ideal, (verdict, blow-up depth, (real, complex, non-reduced real) or None)
+SPACE_CURVES = [
+    ("two-lines", lambda: _union(_line((1, 0, 0)), _line((0, 1, 0))),
+     ("not-manifold-point", 1, (2, 2, 0))),
+    ("three-lines", lambda: _union(_line((1, 0, 0)), _line((0, 1, 0)), _line((1, 1, 1))),
+     ("not-manifold-point", 1, (3, 3, 0))),
+    ("conjugate-lines", lambda: make_ideal("x,y,z", *CONJUGATE_LINES),
+     ("isolated-point", 1, (0, 2, 0))),
+    ("conjugate-lines-and-a-line",
+     lambda: _union(make_ideal("x,y,z", *CONJUGATE_LINES), _line((1, 2, 3))),
+     ("manifold-point-at-singularity", 1, (1, 3, 0))),
+    ("twisted-cubic", lambda: _graph("x^2", "x^3"), ("smooth-manifold-point", 0, None)),
+    ("tangent-branches", lambda: _union(_graph("x^2", "x^3"), _graph("-x^2", "2*x^3")),
+     ("not-manifold-point", 2, (2, 2, 0))),
+    ("osculating-branches", lambda: _union(_graph("x^2", "x^3"), _graph("x^2 + x^3", "x^3")),
+     ("not-manifold-point", 3, (2, 2, 0))),
+    ("cusp-t2-t3-t4", lambda: _image("t^2", "t^3", "t^4"), ("not-manifold-point", 1, (1, 1, 1))),
+    ("cusp-t2-t3-t5", lambda: _image("t^2", "t^3", "t^5"), ("not-manifold-point", 1, (1, 1, 1))),
+]
+
+
+def _space_outcome(i: IdealPresentation):
+    c = classify_point(i, [0, 0, 0], assume_radical=True)
+    fiber = c.certificate.fiber
+    counts = (fiber.real_points, fiber.complex_points, fiber.nonreduced_real_points) if fiber else None
+    return c.verdict.value, c.certificate.blowup_depth, counts
+
+
+@pytest.mark.parametrize("label, build, want", SPACE_CURVES, ids=[s[0] for s in SPACE_CURVES])
+def test_space_curve_matches_its_construction(label, build, want, hang_guard):
+    assert _space_outcome(build()) == want
+
+
+def _random_directions(rng: random.Random, k: int) -> list[tuple[int, int, int]]:
+    """k distinct lines: primitive integer directions, first nonzero entry positive."""
+    directions: list[tuple[int, int, int]] = []
+    while len(directions) < k:
+        d = tuple(rng.randint(-3, 3) for _ in range(3))
+        if not any(d) or math.gcd(*d) != 1:
+            continue
+        if next(v for v in d if v) < 0:
+            d = tuple(-v for v in d)
+        if d not in directions:
+            directions.append(d)
+    return directions
+
+
+@pytest.mark.parametrize("k", range(2, 5))
+def test_seeded_lines_give_one_fiber_point_each(k, hang_guard):
+    directions = _random_directions(random.Random(f"lines-{k}"), k)
+    i = _union(*map(_line, directions))
+    assert _space_outcome(i) == ("not-manifold-point", 1, (k, k, 0)), directions
+
+
+def _taylor(coefficients: list[int]) -> str:
+    return " + ".join(f"({c})*x^{j}" for j, c in enumerate(coefficients, start=1))
+
+
+def _random_branch_pair(rng: random.Random, m: int, degree: int = 3) -> tuple[str, ...]:
+    """p1, q1, p2, q2 of two graphs through 0 that agree below order m and differ at m."""
+    def draw():
+        return [rng.randint(-3, 3) for _ in range(degree)]
+
+    p1, q1, p2, q2 = draw(), draw(), draw(), draw()
+    p2[: m - 1], q2[: m - 1] = p1[: m - 1], q1[: m - 1]
+    while (p1[m - 1], q1[m - 1]) == (p2[m - 1], q2[m - 1]):
+        p2[m - 1], q2[m - 1] = rng.randint(-3, 3), rng.randint(-3, 3)
+    return tuple(map(_taylor, (p1, q1, p2, q2)))
+
+
+# order 3 is covered by "osculating-branches": drawn pairs of that order ran
+# 45-82 s each in the strict-basis Buchberger calls
+@pytest.mark.parametrize("m, draw", [(m, draw) for m in (1, 2) for draw in range(3)])
+def test_seeded_branch_pairs_separate_at_their_order(m, draw, hang_guard):
+    p1, q1, p2, q2 = _random_branch_pair(random.Random(f"branches-{m}-{draw}"), m)
+    i = _union(_graph(p1, q1), _graph(p2, q2))
+    assert _space_outcome(i) == ("not-manifold-point", m, (2, 2, 0)), (p1, q1, p2, q2)

@@ -151,6 +151,17 @@ def test_saturation_carries_the_basis_of_its_limit():
     assert res.basis == groebner_basis(res.ideal)
 
 
+def test_saturation_basis_rejects_a_limit_that_misses_a_source_generator():
+    from dataclasses import replace
+
+    res = saturate(make_ideal("t,x,y", "t^2x", "t^3y"), make_ideal("t,x,y", "t"))
+    assert ideal_equal(res.ideal, make_ideal("t,x,y", "x", "y"))
+    assert len(res.ideal.generators) == 2
+    short = replace(res, ideal=ideal(res.ideal.variables, res.ideal.generators[:1]))
+    with pytest.raises(AssertionError, match="escapes its saturation"):
+        short.basis
+
+
 def test_basis_dimension_matches_krull_dimension():
     for gens in (("y^2 - x^3",), ("x", "y"), ("x", "x - 1"), ("x*y",), ("0",)):
         i = make_ideal("x,y", *gens)
