@@ -31,18 +31,11 @@ from math import isqrt
 
 import pytest
 
-from realcurve import (
-    IdealPresentation,
-    VariableSet,
-    Verdict,
-    classify_point,
-    halfbranch_count,
-    parse_ideal,
-)
+from realcurve import IdealPresentation, Verdict, classify_point, halfbranch_count, parse_ideal
 from realcurve.ideals import eliminate, intersect
 from realcurve.singular import RadicalityVerdict
 
-from conftest import make_ideal
+from conftest import make_ideal, varset
 
 KINDS = ("line", "tacnode", "cusp", "conj", "irr2", "irr3")
 
@@ -227,8 +220,8 @@ def test_drawn_germs_match_their_construction_and_the_oracle():
 
 def _line(d: tuple[int, int, int]) -> IdealPresentation:
     """The line through the origin with direction d: the 2x2 minors of (x, y, z; d)."""
-    (x, y, z), (a, b, c) = SPACE_VARS.names, d
-    return make_ideal("x,y,z", f"{b}*{x} - {a}*{y}", f"{c}*{x} - {a}*{z}", f"{c}*{y} - {b}*{z}")
+    a, b, c = d
+    return make_ideal("x,y,z", f"({b})*x - ({a})*y", f"({c})*x - ({a})*z", f"({c})*y - ({b})*z")
 
 
 def _graph(p: str, q: str) -> IdealPresentation:
@@ -238,14 +231,13 @@ def _graph(p: str, q: str) -> IdealPresentation:
 def _image(a: str, b: str, c: str) -> IdealPresentation:
     """The image of t -> (a, b, c): the kernel of Q[x, y, z] -> Q[t], a prime."""
     graph = make_ideal("t,x,y,z", f"x - ({a})", f"y - ({b})", f"z - ({c})")
-    return IdealPresentation(SPACE_VARS, eliminate(graph, 1).generators)
+    return IdealPresentation(varset("x,y,z"), eliminate(graph, 1).generators)
 
 
 def _union(*branches: IdealPresentation) -> IdealPresentation:
     return functools.reduce(intersect, branches)
 
 
-SPACE_VARS = VariableSet(("x", "y", "z"))
 CONJUGATE_LINES = "x", "y^2 + z^2"
 
 # label, ideal, (verdict, blow-up depth, (real, complex, non-reduced real) or None)
@@ -272,8 +264,9 @@ SPACE_CURVES = [
 def _space_outcome(i: IdealPresentation):
     c = classify_point(i, [0, 0, 0], assume_radical=True)
     fiber = c.certificate.fiber
-    counts = (fiber.real_points, fiber.complex_points, fiber.nonreduced_real_points) if fiber else None
-    return c.verdict.value, c.certificate.blowup_depth, counts
+    if fiber is not None:
+        fiber = (fiber.real_points, fiber.complex_points, fiber.nonreduced_real_points)
+    return c.verdict.value, c.certificate.blowup_depth, fiber
 
 
 @pytest.mark.parametrize("label, build, want", SPACE_CURVES, ids=[s[0] for s in SPACE_CURVES])
