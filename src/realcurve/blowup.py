@@ -25,7 +25,10 @@ is proper exactly when its elements share a zero, so this is the statement
 that the singular-locus ideal plus the fiber ideal is the unit ideal, a
 certificate over the complex numbers and not merely at real points.  No
 minor is ever expanded as a polynomial, and the scan stops at the first
-minors that fill A.  A leaf keeps its fiber algebra for the point counts.
+minors that fill A.  When they do not, the quotient of A by them is the
+singular fiber's algebra, and the next centers are its rational points.  A
+leaf keeps A for the point counts; its non-reduced points are read off one
+algebra of its full fiber, by quotients too, with no other Groebner basis.
 
 A chart is certified or blown up again only when its restricted fiber holds
 a point.  Its fiber algebra is built first, from the strict generators and
@@ -67,14 +70,7 @@ from .errors import (
     OriginNotOnVariety,
 )
 from .groebner import GroebnerBasis, normal_form
-from .ideals import (
-    IdealPresentation,
-    SaturationResult,
-    basis_dimension,
-    ideal,
-    ideal_sum,
-    saturate,
-)
+from .ideals import IdealPresentation, SaturationResult, basis_dimension, ideal, saturate
 from .polynomials import Polynomial, VariableSet, ring_map
 from .singular import (
     RadicalityCertificate,
@@ -87,8 +83,7 @@ from .zerodim import (
     ZeroDimAlgebra,
     algebra_of,
     count_points,
-    generating_operators,
-    nonreduced_ideal,
+    nonreduced_quotient,
     rational_points,
 )
 
@@ -303,7 +298,7 @@ def _resolve_chart(
         if state.depth > 0:
             chart = _compose_chart(state, chart)
         algebra = _fiber_algebra(chart)
-        if algebra.gb.is_unit():
+        if not algebra.dimension:
             # the reduced basis is {1}: no fiber point is counted on this chart
             continue
         chart = replace(chart, strict_basis=strict.basis)
@@ -317,7 +312,7 @@ def _resolve_chart(
             continue
         points, all_rational = rational_points(singular)
         if not all_rational:
-            raise IrrationalSingularFiberPoint(singular)
+            raise IrrationalSingularFiberPoint(singular.ideal)
         _resolve_chart(_translate_chart(chart, points[0]), max_depth, leaves, original)
 
 
@@ -326,24 +321,21 @@ def _fiber_algebra(chart: BlowupChart) -> ZeroDimAlgebra:
     return algebra_of(fiber_ideal(chart, dedup=True))
 
 
-def _singular_fiber(chart: BlowupChart, algebra: ZeroDimAlgebra) -> IdealPresentation | None:
+def _singular_fiber(chart: BlowupChart, algebra: ZeroDimAlgebra) -> ZeroDimAlgebra | None:
     """Where the strict transform is singular on the restricted fiber.
 
-    None when it is smooth there, i.e. when the codimension-sized jacobian
-    minors, as elements of the restricted fiber algebra, generate all of it.
-    Otherwise the restricted fiber plus the normal forms of the minors that
-    enlarged their ideal: the same ideal as singular locus plus fiber.
+    The quotient of the restricted fiber algebra by the codimension-sized
+    jacobian minors, as elements of it: the algebra of singular locus plus
+    fiber, whose ideal is the restricted fiber plus the normal forms of the
+    minors that enlarged their ideal.  None when the strict transform is
+    smooth there, i.e. when the minors generate the whole fiber algebra.
     """
     strict = chart.strict_ideal
     n = len(strict.variables)
     codim = n - basis_dimension(chart.strict_basis, n)
     entries = [[algebra.operator(p) for p in row] for row in jacobian(strict).entries]
-    enlarging = generating_operators(algebra, minors(entries, n, codim))
-    if enlarging is None:
-        return None
-    return ideal_sum(
-        algebra.ideal, ideal(strict.variables, (algebra.element(m) for m in enlarging))
-    )
+    singular = algebra.quotient(minors(entries, n, codim))
+    return singular if singular.dimension else None
 
 
 def fiber_summary(model: SmoothModel) -> FiberSummary:
@@ -352,9 +344,11 @@ def fiber_summary(model: SmoothModel) -> FiberSummary:
     Real and complex counts use the dedup-restricted fiber so every geometric
     point lands in exactly one chart; leaves from the resolution bring that
     fiber's algebra along, so it is built only for charts that lack one.
-    Non-reducedness is read off the algebra of the full fiber scheme first
-    (multiplicity is intrinsic), as its ideal (I : radical(I)), and only then
-    restricted.  An empty fiber gives the zero algebra: reduced, no points.
+    Non-reducedness is read off the algebra of the full fiber scheme
+    (multiplicity is intrinsic): its non-reduced locus is its quotient by
+    the annihilator of its nilradical, and that is restricted by the dedup
+    constraints in the same quotient.  An empty fiber gives the zero
+    algebra: reduced, no points.
     """
     real = complex_count = nonreduced_real = 0
     for chart in model.charts:
@@ -364,9 +358,7 @@ def fiber_summary(model: SmoothModel) -> FiberSummary:
         counts = count_points(algebra)
         real += counts.real_distinct
         complex_count += counts.complex_distinct
-        bad = nonreduced_ideal(algebra_of(fiber_ideal(chart, dedup=False)))
-        if bad is None:
-            continue
-        dedup = ideal(chart.chart_variables, chart.dedup_constraints)
-        nonreduced_real += count_points(algebra_of(ideal_sum(bad, dedup))).real_distinct
+        full = algebra_of(fiber_ideal(chart, dedup=False))
+        locus = nonreduced_quotient(full, chart.dedup_constraints)
+        nonreduced_real += count_points(locus).real_distinct
     return FiberSummary(real, complex_count, nonreduced_real)

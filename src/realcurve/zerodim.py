@@ -3,30 +3,30 @@
 A zero-dimensional ideal has a finite-dimensional quotient; its standard
 monomials (those outside the leading-term ideal) form a vector-space basis and
 multiplication by each variable becomes a `RationalMatrix`: one positive
-denominator times an integer matrix.  Those matrices need only the normal
-forms of the border monomials x_v * b_j outside the basis; every other
-product, the multiplication matrix of any element and the coordinates of
-every b_i * b_j, comes from integer matrix products.  Distinct complex
-and real solution counts then come out of the Hermite trace form: its rank is
-the number of distinct complex points and its signature the number of real
-ones, both read exactly off the pivots of one symmetric elimination.  Any
-element acts on the algebra by its own multiplication matrix, so questions
-about the ideal some elements generate (is it the whole algebra?) become
-echelon-form linear algebra on integer vectors.
+denominator times an integer matrix.  algebra_of builds those matrices from
+one reduced GREVLEX basis, and needs only the normal forms of the border
+monomials x_v * b_j outside the basis; every other product, the
+multiplication matrix of any element and the coordinates of every b_i * b_j,
+comes from integer matrix products.  Distinct complex and real solution
+counts then come out of the Hermite trace form: its rank is the number of
+distinct complex points and its signature the number of real ones, both read
+exactly off the pivots of one symmetric elimination.
 
-In characteristic 0 the nilradical N of A = Q[x]/I is the kernel of the trace
-form, so radical(I) is I plus the lifts of N, and the non-reduced locus
-(I : radical(I)) is I plus the lifts of the annihilator of N; its variety
-consists exactly of the points where the fiber scheme carries nilpotents.
+The columns of an element's multiplication matrix span the ideal it
+generates, so the quotient by the ideal some elements generate is echelon
+form on integer vectors, with no Groebner basis (ZeroDimAlgebra.quotient).
+In characteristic 0 the nilradical N of A = Q[x]/I is the kernel of the
+trace form, so Q[x]/radical(I) is A/N, and the non-reduced locus
+(I : radical(I)) is A over the annihilator of N: its points are exactly
+those where the fiber scheme carries nilpotents.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import product
-from math import gcd, lcm, prod
+from itertools import chain, combinations, product
+from math import lcm, prod
 from typing import Iterable
 
 from .errors import NotZeroDimensional
@@ -35,12 +35,12 @@ from .ideals import (
     IdealPresentation,
     groebner_basis,
     ideal,
-    ideal_sum,
     quotient,  # unused here; bench/test_bench.py's binding-site test pins zerodim.quotient
 )
 from .linalg import (
     Z_RING,
     RationalMatrix,
+    _primitive,
     integer_product,
     isolate_real_roots,
     require_univariate,
@@ -59,49 +59,24 @@ class PointCounts:
 
 @dataclass(frozen=True)
 class ZeroDimAlgebra:
-    """Quotient algebra data: standard monomial basis and multiplication matrices.
+    """Q[x]/ideal as a standard monomial basis and its multiplication matrices.
 
-    `mult_matrices` holds the multiplication matrix M_v = N_v / den_v of
-    each variable v, built once from the normal forms of the border
-    monomials x_v * b_j outside the basis; a column whose x_v * b_j is a
-    basis monomial is a unit vector.  algebra_of builds them to
-    check that they commute.  They take no part in == or hash.
+    basis lists the standard monomials of the ideal in increasing GREVLEX
+    order, so the monomial 1 is basis[0] unless the algebra is zero.
+    mult_matrices holds the multiplication matrix M_v = N_v / den_v of each
+    variable v, in the ring's order; column j holds the coordinates of
+    x_v * b_j.  algebra_of builds them from a reduced basis of the ideal,
+    quotient projects them onto a quotient's basis, and both check that they
+    commute.
     """
 
     ideal: IdealPresentation
-    gb: GroebnerBasis
     basis: tuple[Exponent, ...]
+    mult_matrices: tuple[RationalMatrix, ...] = field(repr=False)
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    @cached_property
-    def mult_matrices(self) -> tuple[RationalMatrix, ...]:
-        """M_v = N_v / den_v for each variable v, in the ring's order."""
-        d = self.dimension
-        index = {e: k for k, e in enumerate(self.basis)}
-        border: dict[Exponent, tuple[int, dict[int, int]]] = {}  # shared by the variables
-        out = []
-        for v in range(len(self.ideal.variables)):
-            columns = []  # x_v * b_j as (denominator, {row: numerator})
-            for b in self.basis:
-                e = b[:v] + (b[v] + 1,) + b[v + 1 :]
-                if e in index:
-                    columns.append((1, {index[e]: 1}))
-                    continue
-                if e not in border:
-                    nf = normal_form(Polynomial(self.ideal.variables, {e: 1}), self.gb)
-                    num, den_e = nf.content.numerator, nf.content.denominator
-                    border[e] = (den_e, {index[t]: num * c for t, c in nf.terms.items()})
-                columns.append(border[e])
-            den = lcm(*(c for c, _ in columns))
-            ints = [0] * (d * d)
-            for j, (c, column) in enumerate(columns):
-                for k, x in column.items():
-                    ints[k * d + j] = x * (den // c)
-            out.append(RationalMatrix(d, d, ints, den))
-        return tuple(out)
 
     def monomial_image(self, e: Exponent, cache: dict) -> tuple[int, list[int]]:
         """(den, N) with N / den the multiplication matrix of x^e, den = prod den_v^e_v.
@@ -143,14 +118,73 @@ class ZeroDimAlgebra:
         q = f.content
         return RationalMatrix(d, d, [q.numerator * x for x in acc], den * q.denominator)
 
-    def element(self, m: RationalMatrix) -> Polynomial:
-        """The normal-form polynomial whose multiplication matrix is m."""
-        # basis[0] is the monomial 1, so column 0 holds the coordinates of m * 1
-        return self.lift(Q(x, m.den) for x in m.ints[:: m.cols])
-
     def lift(self, coordinates) -> Polynomial:
         """The normal-form polynomial with these coordinates in the basis."""
         return Polynomial.from_terms(self.ideal.variables, dict(zip(self.basis, coordinates)))
+
+    def quotient(self, operators: Iterable[RationalMatrix]) -> ZeroDimAlgebra:
+        """A/J, for J the ideal of A generated by the elements with these matrices.
+
+        The columns m * b_j of the operators m span J.  They go into one
+        echelon form of primitive integer rows, each zero at the others'
+        pivots, and a row's pivot is its largest nonzero index: its leading
+        GREVLEX monomial.  So the other basis monomials are the standard
+        monomials of the ideal I' of Q[x] that maps onto J, and clearing a
+        vector's pivot entries by their rows gives its normal form mod I',
+        which projects each M_v.  I' is presented as I plus the normal forms
+        of the elements that enlarged J.  The scan stops once J is all of A,
+        so the zero algebra consumes no operator.
+        """
+        d = self.dimension
+        rows: dict[int, list[int]] = {}  # pivot -> echelon row
+        enlarging = []
+        for m in operators if d else ():
+            size = len(rows)
+            for j in range(d):
+                if len(rows) == d:
+                    break
+                vec = list(m.ints[j::d])
+                for p, row in rows.items():
+                    vec = _clear(vec, row, p)
+                top = max((k for k, x in enumerate(vec) if x), default=None)
+                if top is not None:
+                    rows = {p: _clear(row, vec, top) for p, row in rows.items()}
+                    rows[top] = _primitive(vec)
+            if len(rows) > size:
+                # basis[0] is the monomial 1, so column 0 holds the element m * 1
+                enlarging.append(self.lift(Q(x, m.den) for x in m.ints[::d]))
+            if len(rows) == d:
+                break
+        gens = ideal(self.ideal.variables, self.ideal.generators + tuple(enlarging))
+        kept = [k for k in range(d) if k not in rows]
+        if not kept:
+            return ZeroDimAlgebra(gens, (), (RationalMatrix.zero(0, 0),) * len(self.mult_matrices))
+        # column c holds the coordinates of the normal form of b_c mod I'
+        den = lcm(*(row[p] for p, row in rows.items()))
+        projection = [
+            -rows[c][k] * (den // rows[c][c]) if c in rows else den * (c == k)
+            for k in kept
+            for c in range(d)
+        ]
+        project = RationalMatrix(len(kept), d, projection, den)
+        include = RationalMatrix(d, len(kept), [int(r == c) for r in range(d) for c in kept])
+        matrices = tuple(project * m * include for m in self.mult_matrices)
+        return _commuting(ZeroDimAlgebra(gens, tuple(self.basis[k] for k in kept), matrices))
+
+
+def _clear(vec: list[int], row: list[int], p: int) -> list[int]:
+    # vec with its entry p cleared by row, whose entry p is nonzero; kept primitive
+    f = vec[p]
+    return _primitive([row[p] * a - f * b for a, b in zip(vec, row)]) if f else vec
+
+
+def _commuting(algebra: ZeroDimAlgebra) -> ZeroDimAlgebra:
+    # the algebra, once its multiplication matrices pass N_a N_b == N_b N_a
+    d = algebra.dimension
+    for a, b in combinations([m.ints for m in algebra.mult_matrices], 2):
+        if integer_product(a, b, d, d, d) != integer_product(b, a, d, d, d):
+            raise AssertionError("multiplication matrices fail to commute")
+    return algebra
 
 
 def _standard_monomials(gb: GroebnerBasis, n: int) -> list[Exponent]:
@@ -173,13 +207,44 @@ def _standard_monomials(gb: GroebnerBasis, n: int) -> list[Exponent]:
     return out
 
 
+def _mult_matrices(
+    gb: GroebnerBasis, variables: VariableSet, basis: tuple[Exponent, ...]
+) -> tuple[RationalMatrix, ...]:
+    # M_v from the normal forms of the border monomials x_v * b_j outside the
+    # basis, shared by the variables; a column whose x_v * b_j is a basis
+    # monomial is a unit vector
+    d = len(basis)
+    index = {e: k for k, e in enumerate(basis)}
+    border: dict[Exponent, tuple[int, dict[int, int]]] = {}
+    out = []
+    for v in range(len(variables)):
+        columns = []  # x_v * b_j as (denominator, {row: numerator})
+        for b in basis:
+            e = b[:v] + (b[v] + 1,) + b[v + 1 :]
+            if e in index:
+                columns.append((1, {index[e]: 1}))
+                continue
+            if e not in border:
+                nf = normal_form(Polynomial(variables, {e: 1}), gb)
+                num, den_e = nf.content.numerator, nf.content.denominator
+                border[e] = (den_e, {index[t]: num * c for t, c in nf.terms.items()})
+            columns.append(border[e])
+        den = lcm(*(c for c, _ in columns))
+        ints = [0] * (d * d)
+        for j, (c, column) in enumerate(columns):
+            for k, x in column.items():
+                ints[k * d + j] = x * (den // c)
+        out.append(RationalMatrix(d, d, ints, den))
+    return tuple(out)
+
+
 def build(i: IdealPresentation) -> ZeroDimAlgebra:
     """Assemble basis and commuting multiplication matrices for a 0-dim ideal.
 
     The unit ideal is rejected too, since it has no points.
     """
     algebra = algebra_of(i)
-    if algebra.gb.is_unit():
+    if not algebra.dimension:
         raise NotZeroDimensional("the unit ideal is not zero-dimensional")
     return algebra
 
@@ -189,61 +254,11 @@ def algebra_of(i: IdealPresentation) -> ZeroDimAlgebra:
 
     The unit ideal gives the zero algebra, with no basis monomials; an ideal
     of positive dimension raises NotZeroDimensional.  The multiplication
-    matrices are built here, and must commute: N_a N_b == N_b N_a.
+    matrices are built here, and must commute.
     """
     gb = groebner_basis(i, GREVLEX)
-    n = len(i.variables)
-    basis = () if gb.is_unit() else tuple(_standard_monomials(gb, n))
-    algebra = ZeroDimAlgebra(i, gb, basis)
-    d = len(basis)
-    images = [m.ints for m in algebra.mult_matrices]
-    for a in range(n):
-        for b in range(a + 1, n):
-            if integer_product(images[a], images[b], d, d, d) != integer_product(
-                images[b], images[a], d, d, d
-            ):
-                raise AssertionError("multiplication matrices fail to commute")
-    return algebra
-
-
-def generating_operators(
-    algebra: ZeroDimAlgebra, operators: Iterable[RationalMatrix]
-) -> list[RationalMatrix] | None:
-    """The operators that enlarge the ideal they generate, in scan order.
-
-    The ideal generated by an element m is spanned by m * basis[j], the
-    columns of its multiplication matrix, so the ideals of the scanned
-    elements accumulate in one echelon form of the integer columns, each
-    kept primitive.  Returns None, and stops scanning, as soon as that
-    ideal is the whole algebra; the zero algebra returns None before
-    consuming anything.
-    """
-    d = algebra.dimension
-    if d == 0:
-        return None
-    pivots: list[tuple[int, list[int]]] = []
-    enlarging: list[RationalMatrix] = []
-    for m in operators:
-        grew = False
-        ints = m.ints
-        for j in range(d):
-            vec = ints[j::d]
-            for col, pvec in pivots:
-                f = vec[col]
-                if f:
-                    p = pvec[col]
-                    vec = [p * a - f * b for a, b in zip(vec, pvec)]
-            nz = next((idx for idx, v in enumerate(vec) if v), None)
-            if nz is None:
-                continue
-            g = gcd(*vec)
-            pivots.append((nz, [v // g for v in vec] if g > 1 else list(vec)))
-            grew = True
-            if len(pivots) == d:
-                return None
-        if grew:
-            enlarging.append(m)
-    return enlarging
+    basis = () if gb.is_unit() else tuple(_standard_monomials(gb, len(i.variables)))
+    return _commuting(ZeroDimAlgebra(i, basis, _mult_matrices(gb, i.variables, basis)))
 
 
 def trace_form(algebra: ZeroDimAlgebra) -> RationalMatrix:
@@ -312,26 +327,26 @@ def eliminant(algebra: ZeroDimAlgebra, var: int | str) -> Polynomial:
     return Polynomial(VariableSet.of(names[i]), mu.terms, mu.content)
 
 
-def _with_lifts(algebra: ZeroDimAlgebra, vectors) -> IdealPresentation:
-    # the ideal of Q[x] whose image in A is spanned by the given elements
-    i = algebra.ideal
-    return ideal_sum(i, ideal(i.variables, (algebra.lift(v) for v in vectors)))
+def _operators(algebra: ZeroDimAlgebra, vectors) -> Iterable[RationalMatrix]:
+    # the multiplication matrices of the elements with these coordinates
+    return (algebra.operator(algebra.lift(v)) for v in vectors)
 
 
-def nonreduced_ideal(algebra: ZeroDimAlgebra) -> IdealPresentation | None:
-    """(I : radical(I)) as I plus the annihilator of the nilradical N of A.
+def nonreduced_quotient(algebra: ZeroDimAlgebra, cut: Iterable[Polynomial] = ()) -> ZeroDimAlgebra:
+    """The algebra of the non-reduced locus (I : radical(I)), cut by more polynomials.
 
-    The annihilator is the common kernel of the multiplication matrices of
-    a basis of N; scaling each matrix's block of rows by its denominator
-    leaves that kernel as it is.  None when N = 0: A is reduced (the zero
-    algebra of an empty fiber included) and the quotient is the unit ideal.
+    The image of (I : radical(I)) in A is the annihilator of the nilradical
+    N: the common kernel of the multiplication matrices of a basis of N;
+    scaling each matrix's block of rows by its denominator leaves that kernel
+    as it is.  When N = 0 (the zero algebra of an empty fiber included) the
+    annihilator is A and the quotient is the zero algebra.
     """
     nil = trace_form(algebra).kernel()
-    if not nil:
-        return None
     d = algebra.dimension
-    stacked = [x for n in nil for x in algebra.operator(algebra.lift(n)).ints]
-    return _with_lifts(algebra, RationalMatrix(len(nil) * d, d, stacked).kernel())
+    stacked = [x for m in _operators(algebra, nil) for x in m.ints]
+    annihilator = RationalMatrix(len(nil) * d, d, stacked).kernel()
+    elements = chain(_operators(algebra, annihilator), (algebra.operator(f) for f in cut))
+    return algebra.quotient(elements)
 
 
 def zerodim_radical(i: IdealPresentation) -> IdealPresentation:
@@ -340,7 +355,7 @@ def zerodim_radical(i: IdealPresentation) -> IdealPresentation:
     Raises NotZeroDimensional, through build, unless i is zero-dimensional.
     """
     algebra = build(i)
-    return _with_lifts(algebra, trace_form(algebra).kernel())
+    return algebra.quotient(_operators(algebra, trace_form(algebra).kernel())).ideal
 
 
 def nonreduced_locus(i: IdealPresentation) -> IdealPresentation:
@@ -348,8 +363,7 @@ def nonreduced_locus(i: IdealPresentation) -> IdealPresentation:
 
     Raises NotZeroDimensional, through build, unless i is zero-dimensional.
     """
-    locus = nonreduced_ideal(build(i))
-    return ideal(i.variables, (Polynomial.one(i.variables),)) if locus is None else locus
+    return nonreduced_quotient(build(i)).ideal
 
 
 # ---------------------------------------------------------------------------
@@ -386,21 +400,14 @@ def rational_roots(p: Polynomial) -> list[Fraction]:
     return roots
 
 
-def rational_points(i: IdealPresentation) -> tuple[list[tuple[Fraction, ...]], bool]:
-    """(rational points of V(i), flag: every complex point is rational).
+def rational_points(algebra: ZeroDimAlgebra) -> tuple[list[tuple[Fraction, ...]], bool]:
+    """(rational points of the algebra's variety, flag: every complex point is rational).
 
-    Candidates come from rational roots of the per-variable eliminants and are
-    confirmed against all generators; comparing against the distinct complex
-    point count certifies whether any non-rational point remains.
+    Candidates are the rational roots of the per-variable eliminants that
+    satisfy every generator of its ideal; the distinct complex point count
+    certifies whether any non-rational point remains.
     """
-    algebra = build(i)
-    per_var = []
-    for var in range(len(i.variables)):
-        per_var.append(rational_roots(eliminant(algebra, var)))
-    found = []
-    for candidate in product(*per_var):
-        if all(g.evaluate(candidate) == 0 for g in i.generators):
-            found.append(candidate)
-    found.sort()
-    all_rational = len(found) == count_points(algebra).complex_distinct
-    return found, all_rational
+    gens = algebra.ideal.generators
+    per_var = [rational_roots(eliminant(algebra, v)) for v in range(len(algebra.mult_matrices))]
+    found = sorted(c for c in product(*per_var) if all(g.evaluate(c) == 0 for g in gens))
+    return found, len(found) == count_points(algebra).complex_distinct

@@ -134,12 +134,14 @@ def reference_congruence_signature(m: RationalMatrix) -> tuple[int, int]:
 def reference_operator(algebra, f: Polynomial) -> RationalMatrix:
     """Multiplication by f on the algebra, one normal form per basis monomial."""
     from realcurve.groebner import normal_form
+    from realcurve.ideals import groebner_basis
 
+    gb = groebner_basis(algebra.ideal)
     index = {e: k for k, e in enumerate(algebra.basis)}
     d = algebra.dimension
     entries = [Q(0)] * (d * d)
     for j, e in enumerate(algebra.basis):
-        nf = normal_form(f * Polynomial(f.vars, {e: 1}), algebra.gb)
+        nf = normal_form(f * Polynomial(f.vars, {e: 1}), gb)
         for te, tc in nf.terms.items():
             entries[index[te] * d + j] = nf.content * tc
     return fraction_matrix(d, d, entries)
@@ -148,14 +150,16 @@ def reference_operator(algebra, f: Polynomial) -> RationalMatrix:
 def reference_trace_form(algebra) -> RationalMatrix:
     """B[i][j] = Trace(b_i * b_j), from the normal forms of the products b_i * b_j."""
     from realcurve.groebner import normal_form
+    from realcurve.ideals import groebner_basis
 
+    gb = groebner_basis(algebra.ideal)
     basis, d = algebra.basis, algebra.dimension
     index = {e: k for k, e in enumerate(basis)}
 
     def coordinates(e) -> dict[int, Fraction]:
         if e in index:
             return {index[e]: Q(1)}
-        nf = normal_form(Polynomial.from_terms(algebra.ideal.variables, {e: 1}), algebra.gb)
+        nf = normal_form(Polynomial.from_terms(algebra.ideal.variables, {e: 1}), gb)
         return {index[te]: nf.content * c for te, c in nf.terms.items()}
 
     table = [[coordinates(tuple(x + y for x, y in zip(a, b))) for b in basis] for a in basis]
@@ -240,14 +244,16 @@ def reference_resolve_curve(i: IdealPresentation, max_depth: int = 6):
 
     Every chart of every blow-up gets its strict basis and its pullback
     checks, and is certified or blown up again; every smooth one is a leaf,
-    the charts that hold no fiber point included.
+    the charts that hold no fiber point included.  The singular points come
+    from an algebra that Buchberger builds anew for the singular fiber's
+    ideal, not from the quotient of the fiber algebra.
     """
     from dataclasses import replace
 
     from realcurve import blowup
     from realcurve.errors import DepthExceeded, IrrationalSingularFiberPoint
     from realcurve.singular import jacobian, rank_at
-    from realcurve.zerodim import rational_points
+    from realcurve.zerodim import build, rational_points
 
     n = len(i.variables)
     if rank_at(jacobian(i), [Q(0)] * n) == n - 1:
@@ -266,9 +272,9 @@ def reference_resolve_curve(i: IdealPresentation, max_depth: int = 6):
             if singular is None:
                 leaves.append(replace(chart, fiber_algebra=algebra))
                 continue
-            points, all_rational = rational_points(singular)
+            points, all_rational = rational_points(build(singular.ideal))
             if not all_rational:
-                raise IrrationalSingularFiberPoint(singular)
+                raise IrrationalSingularFiberPoint(singular.ideal)
             resolve(blowup._translate_chart(chart, points[0]))
 
     resolve(blowup._identity_chart(i))

@@ -275,7 +275,7 @@ def test_leaf_smoothness_certificate(node):
 
 
 def _record_leaf_checks(monkeypatch, run):
-    """Run `run` and return (chart, singular fiber ideal or None) per visited chart."""
+    """Run `run` and return (chart, singular fiber algebra or None) per visited chart."""
     from realcurve import blowup
 
     visited = []
@@ -372,7 +372,7 @@ def test_fiber_algebra_leaf_check_agrees_with_ideal_level_check(monkeypatch, lab
         old = _ideal_level_singular_fiber(chart)
         assert (singular is None) == is_unit_ideal(old)
         if singular is not None:
-            assert ideal_equal(singular, old)
+            assert ideal_equal(singular.ideal, old)
     if label == "tacnode-chain":
         assert any(singular is not None for _, singular in visited)
 
@@ -382,7 +382,6 @@ def test_leaf_check_needs_the_span_of_several_minors():
     # minor is a unit of the fiber algebra, but together they generate it
     from realcurve.blowup import BlowupChart, _fiber_algebra, _singular_fiber
     from realcurve.ideals import groebner_basis, ideal_sum
-    from realcurve.zerodim import generating_operators
 
     strict = make_ideal("x,y", "x^2 + y^2 - 1")
     chart = BlowupChart(
@@ -399,7 +398,7 @@ def test_leaf_check_needs_the_span_of_several_minors():
     assert algebra.dimension == 2
     for partial in ("2x", "2y"):
         assert not is_unit_ideal(ideal_sum(fiber, make_ideal("x,y", partial)))
-        assert generating_operators(algebra, [algebra.operator(poly(partial))]) is not None
+        assert algebra.quotient([algebra.operator(poly(partial))]).dimension > 0
     assert _singular_fiber(chart, algebra) is None
 
 
@@ -581,10 +580,51 @@ def test_fiber_summary_reduces_each_full_fiber_once(monkeypatch):
     monkeypatch.setattr(ideals_module, "buchberger", counting)
     summary = fiber_summary(model)
     assert summary.nonreduced_real_points >= 1
-    assert {order for _, order in calls} == {"grevlex"}
+    # one basis per leaf, of its full fiber; the non-reduced locus and its
+    # restriction are quotients of that fiber's algebra
     fulls = Counter(fiber_ideal(chart, dedup=False).generators for chart in model.charts)
-    for gens, leaves in fulls.items():
-        assert calls[gens, "grevlex"] == leaves
+    assert calls == {(gens, "grevlex"): leaves for gens, leaves in fulls.items()}
+
+
+def test_singular_points_and_nonreduced_counts_build_no_basis(monkeypatch, buchberger_inputs):
+    # the singular fibers and the non-reduced loci are quotients of fiber
+    # algebras already built, so their rational points and real counts reach
+    # no Buchberger call
+    from collections import Counter
+
+    import realcurve.ideals as ideals_module
+    from realcurve import blowup, classify_point
+    from realcurve.blowup import FiberSummary
+
+    entered, inside, escaped = Counter(), [], []
+
+    def guarded(name):
+        original = getattr(blowup, name)
+
+        def run(*args):
+            entered[name] += 1
+            inside.append(name)
+            try:
+                return original(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(blowup, name, run)
+
+    for name in ("rational_points", "nonreduced_quotient"):
+        guarded(name)
+    counting = ideals_module.buchberger
+
+    def watched(gens, order):
+        escaped.extend(inside[-1:])
+        return counting(gens, order)
+
+    monkeypatch.setattr(ideals_module, "buchberger", watched)
+    c = classify_point(make_ideal("x,y", "(y^2 - x^3)*((y - x)^2 - x^4)"), [0, 0])
+    assert c.certificate.fiber == FiberSummary(3, 3, 1)
+    assert entered["rational_points"] and entered["nonreduced_quotient"]
+    assert not escaped
+    assert (sum(buchberger_inputs.values()), len(buchberger_inputs)) == (13, 12)
 
 
 # ---------------------------------------------------------------------------

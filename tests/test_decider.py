@@ -148,6 +148,30 @@ def test_irrational_singular_fiber_point_is_inconclusive():
     assert "non-rational" in c.certificate.reason_text
 
 
+def test_irrational_singular_fiber_point_carries_its_isolating_ideal(monkeypatch):
+    # the error carries the restricted fiber plus the minors that enlarged
+    # their ideal; an algebra Buchberger builds anew from that ideal has no
+    # rational point and the point counts of the singular quotient
+    from realcurve import blowup, resolve_curve
+    from realcurve.errors import IrrationalSingularFiberPoint
+    from realcurve.zerodim import build, count_points, rational_points
+
+    singular = []
+    original = blowup._singular_fiber
+
+    def recording(chart, algebra):
+        singular.append(original(chart, algebra))
+        return singular[-1]
+
+    monkeypatch.setattr(blowup, "_singular_fiber", recording)
+    with pytest.raises(IrrationalSingularFiberPoint) as caught:
+        resolve_curve(make_ideal("x,y", "(y^2 - 2x^2)^2 - x^6"))
+    rebuilt = build(caught.value.ideal)
+    assert caught.value.ideal == singular[-1].ideal
+    assert rational_points(rebuilt) == ([], False)
+    assert count_points(rebuilt) == count_points(singular[-1])
+
+
 @pytest.mark.parametrize(
     "a, b", [(1000000007, 1000000009), (10**20 + 39, 10**20 + 129)]
 )

@@ -90,7 +90,9 @@ def test_signatures_match_the_reference_on_every_golden_trace_form(monkeypatch):
 
 def test_structure_constants_match_normal_forms_on_every_golden_algebra(monkeypatch):
     # trace forms and operators come from integer multiplication matrices;
-    # the references take one normal form per basis monomial or product
+    # the references take one normal form per basis monomial or product.
+    # A quotient's matrices are projected from its parent's, and must be
+    # those Buchberger gives for its ideal
     import realcurve.blowup as blowup
     import realcurve.zerodim as zerodim
     from realcurve import Polynomial, analyze_fourbar
@@ -98,20 +100,29 @@ def test_structure_constants_match_normal_forms_on_every_golden_algebra(monkeypa
 
     from conftest import reference_operator, reference_trace_form
 
-    algebras = []
-    original = zerodim.algebra_of
+    algebras, quotients = [], []
+    original, original_quotient = zerodim.algebra_of, zerodim.ZeroDimAlgebra.quotient
 
     def recording(i):
         algebras.append(original(i))
         return algebras[-1]
 
+    def recording_quotient(algebra, operators):
+        quotients.append(original_quotient(algebra, operators))
+        return quotients[-1]
+
     monkeypatch.setattr(zerodim, "algebra_of", recording)
     monkeypatch.setattr(blowup, "algebra_of", recording)
+    monkeypatch.setattr(zerodim.ZeroDimAlgebra, "quotient", recording_quotient)
     for text in FIXTURES.values():
         classify_point(parse_ideal(text), [0, 0], max_depth=8)
     analyze_fourbar(FourBarParams.of(Q(3, 2), Q(3, 2)))
     assert sum(a.dimension > 2 for a in algebras) >= 5
-    for a in algebras:
+    assert len(quotients) >= 10 and sum(q.dimension > 0 for q in quotients) >= 3
+    for q in quotients:
+        reference = original(q.ideal)
+        assert (q.basis, q.mult_matrices) == (reference.basis, reference.mult_matrices)
+    for a in algebras + [q for q in quotients if q.dimension]:
         assert zerodim.trace_form(a) == reference_trace_form(a)
         vs = a.ideal.variables
         xs = [Polynomial.variable(vs, v) for v in range(len(vs))]

@@ -273,13 +273,13 @@ def test_minimal_polynomial_by_construction():
 
 
 def test_rational_points_found_and_certified():
-    pts, all_rational = rational_points(make_ideal("x,y", "x^2 - x", "y - x"))
+    pts, all_rational = rational_points(build(make_ideal("x,y", "x^2 - x", "y - x")))
     assert pts == [(Q(0), Q(0)), (Q(1), Q(1))]
     assert all_rational
 
 
 def test_rational_points_detect_irrational():
-    pts, all_rational = rational_points(make_ideal("x,y", "x^2 - 2", "y"))
+    pts, all_rational = rational_points(build(make_ideal("x,y", "x^2 - 2", "y")))
     assert pts == []
     assert not all_rational
 
@@ -288,12 +288,12 @@ def test_rational_points_of_large_height(hang_guard):
     # two points with 30-digit coordinates, one of them fractional
     a, b, c = 10**29 + 7, 3 * 10**29 + 11, 10**30 - 3
     i = make_ideal("x,y", f"(x - {a})*(7x - {b})", f"y - {c}x - 1")
-    pts, all_rational = rational_points(i)
+    pts, all_rational = rational_points(build(i))
     assert pts == sorted([(Q(a), Q(c * a + 1)), (Q(b, 7), Q(c * b, 7) + 1)])
     assert all_rational
     # x = a is rational and x = a +- sqrt(2) / 10^30 are not
     near = make_ideal("x,y", f"(x - {a})*((10^30 x - {a * 10**30})^2 - 2)", "y")
-    pts, all_rational = rational_points(near)
+    pts, all_rational = rational_points(build(near))
     assert pts == [(Q(a), Q(0))]
     assert not all_rational
 
@@ -325,26 +325,76 @@ def test_build_computes_one_basis(monkeypatch):
 
 
 def test_unit_ideal_gives_the_zero_algebra():
-    from realcurve.zerodim import algebra_of, generating_operators
+    from realcurve.zerodim import algebra_of
 
     a = algebra_of(make_ideal("x,y", "x", "x - 1"))
     assert a.dimension == 0
-    assert generating_operators(a, iter(())) is None
+
+    def unread():
+        raise AssertionError("the zero algebra consumed an operator")
+        yield
+
+    assert a.quotient(unread()).dimension == 0
 
 
 def test_operators_multiply_like_their_elements():
     from realcurve.groebner import normal_form
+    from realcurve.ideals import groebner_basis
 
     a = build(make_ideal("x,y", "x^2 - 2", "y^2 - x"))
     f, g = poly("x*y + 3"), poly("x - y^3")
     assert a.operator(f) * a.operator(g) == a.operator(f * g)
     assert a.operator(poly("x")) == a.mult_matrices[0]
-    assert a.element(a.operator(f)) == normal_form(f, a.gb)
+    # column 0 of f's matrix is f * 1: the coordinates of f's normal form
+    m = a.operator(f)
+    assert a.lift(Q(x, m.den) for x in m.ints[:: m.cols]) == normal_form(
+        f, groebner_basis(a.ideal)
+    )
 
 
-def test_generating_operators_stops_once_the_ideal_is_everything():
-    from realcurve.zerodim import generating_operators
+def _vanishing_element(rng: random.Random, a: int, b: int, c: int) -> Polynomial:
+    # an element through the point (a, b + c*a), with random cofactors
+    def cofactor():
+        return poly(f"{rng.randint(-3, 3)} + {rng.randint(-2, 2)}*x + {rng.randint(-2, 2)}*y")
 
+    return poly(f"(x - ({a}))^{rng.randint(1, 2)}") * cofactor() + poly(
+        f"(y - ({b}) - ({c})*x)^{rng.randint(1, 2)}"
+    ) * cofactor()
+
+
+def test_quotients_are_the_algebras_buchberger_builds():
+    # fat points: <p(x), q(x, y)> with p a product of powers of x - a and q
+    # one of powers of y - b - c*x, so the points (a, b + c*a) carry
+    # multiplicities; they are cut by elements through some of the points,
+    # and by a unit now and then, once and then again in the quotient
+    from realcurve.zerodim import algebra_of
+
+    rng = random.Random(71)
+    fat = proper = 0
+    for _ in range(40):
+        xs = rng.sample(range(-3, 4), rng.randint(1, 2))
+        lines = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rng.randint(1, 2))]
+        px = "*".join(f"(x - ({a}))^{rng.randint(1, 3)}" for a in xs)
+        qy = "*".join(f"(y - ({b}) - ({c})*x)^{rng.randint(1, 2)}" for b, c in lines)
+        a = build(make_ideal("x,y", px, qy))
+        fat += a.dimension > count_points(a).complex_distinct
+        q = a
+        for _ in range(2):
+            elements = [
+                _vanishing_element(rng, rng.choice(xs), *rng.choice(lines))
+                for _ in range(rng.randint(1, 3))
+            ]
+            if rng.random() < 0.1:
+                elements.append(poly(f"{rng.randint(1, 3)} + x*y"))
+            parent, q = q, q.quotient(q.operator(f) for f in elements)
+            proper += 0 < q.dimension < parent.dimension
+            reference = algebra_of(q.ideal)
+            assert q.basis == reference.basis
+            assert q.mult_matrices == reference.mult_matrices
+    assert fat >= 20 and proper >= 20
+
+
+def test_quotient_stops_once_the_ideal_is_everything():
     a = build(make_ideal("x,y", "x^2 - 1", "y"))
     scanned = []
 
@@ -354,7 +404,10 @@ def test_generating_operators_stops_once_the_ideal_is_everything():
             yield a.operator(poly(text))
 
     # x - 1 and x + 1 each vanish at one of the two points; together they fill A
-    assert generating_operators(a, operators(["x - 1", "x + 1", "x"])) is None
+    assert a.quotient(operators(["x - 1", "x + 1", "x"])).dimension == 0
     assert scanned == ["x - 1", "x + 1"]
-    kept = generating_operators(a, operators(["x - 1", "2x - 2", "y"]))
-    assert [a.element(m) for m in kept] == [poly("x - 1")]
+    # 2x - 2 and y = 0 lie in the ideal x - 1 generates: only x - 1 joins it
+    q = a.quotient(operators(["x - 1", "2x - 2", "y"]))
+    assert q.ideal.generators == a.ideal.generators + (poly("x - 1"),)
+    assert q.basis == ((0, 0),)
+    assert q.mult_matrices == (fraction_matrix(1, 1, [1]), fraction_matrix(1, 1, [0]))
