@@ -4,11 +4,12 @@ Every result is exact; there are no floating-point code paths anywhere in
 this module.  A RationalMatrix is one positive denominator times integer
 entries, kept in lowest terms like a `Polynomial`'s content times primitive
 terms, so its products, kernels, ranks and signatures run on integers and
-`fractions.Fraction` appears only in the entry views.  Kernels and ranks
-come from one fraction-free Gauss-Jordan elimination, and signatures from
-the pivots of one fraction-free symmetric elimination; each row (each
-remaining block, for signatures) is divided by its content after every step,
-so the integers stay no larger than Bareiss's minors (Bareiss 1968).
+`fractions.Fraction` appears only in the entry views.  Kernels and ranks,
+and zerodim's fiber quotients and minimal polynomials, come from one
+fraction-free echelon fed a vector at a time, and signatures from the pivots
+of one fraction-free symmetric elimination; each row (each remaining block,
+for signatures) is divided by its content after every step, so the integers
+stay no larger than Bareiss's minors (Bareiss 1968).
 Univariate polynomials are one-variable `Polynomial`s: minimal polynomials
 live in the ring Z_RING, and root isolation by Sturm chains accepts any
 one-variable ring.
@@ -142,10 +143,36 @@ def integer_product(a: Sequence[int], b: Sequence[int], n: int, k: int, m: int) 
     return out
 
 
-def _primitive(row: list[int]) -> list[int]:
-    # the row divided by the gcd of its entries; a zero row stays as it is
-    g = gcd(*row)
-    return row if g <= 1 else [x // g for x in row]
+def _clear(vec: list[int], row: list[int], p: int) -> list[int]:
+    # vec with its nonzero entry p cleared by row, whose entry p is positive; kept primitive
+    f = vec[p]
+    vec = [row[p] * a - f * b for a, b in zip(vec, row)]
+    g = gcd(*vec)
+    return vec if g <= 1 else [x // g for x in vec]
+
+
+def echelon_insert(rows: dict[int, list[int]], vec: Sequence[int]) -> int | None:
+    """Insert vec into the echelon rows: the pivot of its new row, or None if they span vec.
+
+    rows maps each pivot, the first nonzero index of its row, to a primitive
+    integer row with a positive pivot entry and zeros at the other pivots:
+    the unique such multiple of a row of the reduced row echelon form of the
+    vectors inserted, in any order, no larger than its minors (Bareiss 1968).
+    vec is cleared at the pivots, then the rows at vec's pivot.
+    """
+    vec = list(vec)
+    for p, row in rows.items():
+        if vec[p]:
+            vec = _clear(vec, row, p)
+    top = next((k for k, x in enumerate(vec) if x), None)
+    if top is not None:
+        g = gcd(*vec) if vec[top] > 0 else -gcd(*vec)
+        vec = [x // g for x in vec]
+        for p, row in rows.items():
+            if row[top]:
+                rows[p] = _clear(row, vec, top)
+        rows[top] = vec
+    return top
 
 
 @dataclass(frozen=True)
@@ -236,51 +263,28 @@ class RationalMatrix:
         product = integer_product(self.ints, other.ints, self.rows, self.cols, other.cols)
         return RationalMatrix(self.rows, other.cols, product, self.den * other.den)
 
-    def _echelon(self) -> tuple[list[list[int]], list[int]]:
-        """Reduced row echelon form of the integer entries: (rows, pivot columns).
-
-        Fraction-free Gauss-Jordan: a pivot p clears f from another row as
-        p * row - f * pivot row, and the row is then divided by its content.
-        Row r holds the pivot of column pivots[r] and zeros in the other
-        pivot columns, so dividing it by that pivot gives the unique reduced
-        row echelon form of the matrix.
-        """
-        ints, c = self.ints, self.cols
-        m = [_primitive(list(ints[i * c : (i + 1) * c])) for i in range(self.rows)]
-        pivots: list[int] = []
-        for col in range(c):
-            r = len(pivots)
-            pivot = next((k for k in range(r, self.rows) if m[k][col]), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            prow = m[r]
-            p = prow[col]
-            for k in range(self.rows):
-                f = m[k][col]
-                if f and k != r:
-                    m[k] = _primitive([p * x - f * y for x, y in zip(m[k], prow)])
-            pivots.append(col)
-        return m, pivots
+    def echelon(self) -> dict[int, list[int]]:
+        """The echelon rows of the matrix's rows (`echelon_insert`)."""
+        rows: dict[int, list[int]] = {}
+        for i in range(self.rows):
+            echelon_insert(rows, self.ints[i * self.cols : (i + 1) * self.cols])
+        return rows
 
     def kernel(self) -> list[tuple[Fraction, ...]]:
-        """A basis of {v | M v = 0}, from the reduced row echelon form.
+        """A basis of {v | M v = 0}, from the echelon rows.
 
-        One vector per non-pivot column c: 1 at c, and at each pivot column
-        p minus the entry of p's row at c over the pivot.
+        Each row over its pivot entry is a row of the reduced row echelon
+        form, so there is one vector per non-pivot column c: 1 at c, and at
+        each pivot column p minus the entry of p's row at c over the pivot.
         """
-        m, pivots = self._echelon()
-        basis = []
-        for col in sorted(set(range(self.cols)) - set(pivots)):
-            v = [Q(0)] * self.cols
-            v[col] = Q(1)
-            for r, p in enumerate(pivots):
-                v[p] = Q(-m[r][col], m[r][p])
-            basis.append(tuple(v))
-        return basis
+        rows, n = self.echelon(), self.cols
+        return [
+            tuple(Q(-rows[p][c], rows[p][p]) if p in rows else Q(int(p == c)) for p in range(n))
+            for c in sorted(set(range(n)) - rows.keys())
+        ]
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        return len(self.echelon())
 
 
 def symmetric_signature(m: RationalMatrix) -> tuple[int, int]:

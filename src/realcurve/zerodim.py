@@ -13,8 +13,9 @@ distinct complex points and its signature the number of real ones, both read
 exactly off the pivots of one symmetric elimination.
 
 The columns of an element's multiplication matrix span the ideal it
-generates, so the quotient by the ideal some elements generate is echelon
-form on integer vectors, with no Groebner basis (ZeroDimAlgebra.quotient).
+generates, so the quotient by the ideal some elements generate comes from
+one integer echelon (`linalg.echelon_insert`), with no Groebner basis
+(ZeroDimAlgebra.quotient); so do the minimal polynomials behind eliminants.
 In characteristic 0 the nilradical N of A = Q[x]/I is the kernel of the
 trace form, so Q[x]/radical(I) is A/N, and the non-reduced locus
 (I : radical(I)) is A over the annihilator of N: its points are exactly
@@ -40,7 +41,7 @@ from .ideals import (
 from .linalg import (
     Z_RING,
     RationalMatrix,
-    _primitive,
+    echelon_insert,
     integer_product,
     isolate_real_roots,
     require_univariate,
@@ -126,36 +127,31 @@ class ZeroDimAlgebra:
         """A/J, for J the ideal of A generated by the elements with these matrices.
 
         The columns m * b_j of the operators m span J.  They go into one
-        echelon form of primitive integer rows, each zero at the others'
-        pivots, and a row's pivot is its largest nonzero index: its leading
-        GREVLEX monomial.  So the other basis monomials are the standard
-        monomials of the ideal I' of Q[x] that maps onto J, and clearing a
-        vector's pivot entries by their rows gives its normal form mod I',
-        which projects each M_v.  I' is presented as I plus the normal forms
-        of the elements that enlarged J.  The scan stops once J is all of A,
-        so the zero algebra consumes no operator.
+        echelon in reversed coordinates, so a row's pivot is its largest
+        nonzero index: its leading GREVLEX monomial.  The other basis
+        monomials are then the standard monomials of the ideal I' of Q[x]
+        that maps onto J, and clearing a vector's pivot entries by their
+        rows gives its normal form mod I', which projects each M_v.  I' is
+        presented as I plus the normal forms of the elements that enlarged
+        J.  The scan stops once J is all of A, so the zero algebra consumes
+        no operator.
         """
         d = self.dimension
-        rows: dict[int, list[int]] = {}  # pivot -> echelon row
+        reversed_rows: dict[int, list[int]] = {}
         enlarging = []
         for m in operators if d else ():
-            size = len(rows)
+            size = len(reversed_rows)
             for j in range(d):
-                if len(rows) == d:
+                if len(reversed_rows) == d:
                     break
-                vec = list(m.ints[j::d])
-                for p, row in rows.items():
-                    vec = _clear(vec, row, p)
-                top = max((k for k, x in enumerate(vec) if x), default=None)
-                if top is not None:
-                    rows = {p: _clear(row, vec, top) for p, row in rows.items()}
-                    rows[top] = _primitive(vec)
-            if len(rows) > size:
+                echelon_insert(reversed_rows, m.ints[j::d][::-1])
+            if len(reversed_rows) > size:
                 # basis[0] is the monomial 1, so column 0 holds the element m * 1
                 enlarging.append(self.lift(Q(x, m.den) for x in m.ints[::d]))
-            if len(rows) == d:
+            if len(reversed_rows) == d:
                 break
         gens = ideal(self.ideal.variables, self.ideal.generators + tuple(enlarging))
+        rows = {d - 1 - p: row[::-1] for p, row in reversed_rows.items()}
         kept = [k for k in range(d) if k not in rows]
         if not kept:
             return ZeroDimAlgebra(gens, (), (RationalMatrix.zero(0, 0),) * len(self.mult_matrices))
@@ -170,12 +166,6 @@ class ZeroDimAlgebra:
         include = RationalMatrix(d, len(kept), [int(r == c) for r in range(d) for c in kept])
         matrices = tuple(project * m * include for m in self.mult_matrices)
         return _commuting(ZeroDimAlgebra(gens, tuple(self.basis[k] for k in kept), matrices))
-
-
-def _clear(vec: list[int], row: list[int], p: int) -> list[int]:
-    # vec with its entry p cleared by row, whose entry p is nonzero; kept primitive
-    f = vec[p]
-    return _primitive([row[p] * a - f * b for a, b in zip(vec, row)]) if f else vec
 
 
 def _commuting(algebra: ZeroDimAlgebra) -> ZeroDimAlgebra:
@@ -298,21 +288,22 @@ def count_points(algebra: ZeroDimAlgebra) -> PointCounts:
 
 
 def minimal_polynomial(m: RationalMatrix) -> Polynomial:
-    """Monic minimal polynomial in Z_RING, from one kernel of matrix powers.
+    """Monic minimal polynomial in Z_RING, from the first dependent power of M.
 
-    The columns of the (d^2) x (d+1) matrix are vec(I), vec(M), ...,
-    vec(M^d).  The first kernel vector belongs to the first column M^k that
-    lies in the span of the columns before it, and it is 1 at k and 0 beyond,
-    so its entries are the coefficients of the monic minimal polynomial.
+    vec(M^k) followed by den(M^k) * e_k goes into one echelon for k = 0, 1,
+    ..., so each row is vec(sum c_j M^j) followed by the c_j.  The first M^k
+    in the span of the powers before it leaves a row with matrix part 0: a
+    dependency sum c_j M^j = 0 with c_k != 0 and nothing beyond k, c_k times
+    the minimal polynomial.  So only deg mu powers of M are formed.
     """
-    powers = [RationalMatrix.identity(m.rows)]
-    for _ in range(m.rows):
-        powers.append(powers[-1] * m)
-    den = lcm(*(p.den for p in powers))
-    columns = [[x * (den // p.den) for x in p.ints] for p in powers]
-    stacked = [x for row in zip(*columns) for x in row]
-    coefficients = RationalMatrix(m.rows * m.rows, m.rows + 1, stacked, den).kernel()[0]
-    return Polynomial.from_terms(Z_RING, {(j,): c for j, c in enumerate(coefficients)})
+    d, rows, power = m.rows, {}, RationalMatrix.identity(m.rows)
+    for k in range(d + 1):
+        pivot = echelon_insert(rows, power.ints + (0,) * k + (power.den,) + (0,) * (d - k))
+        if pivot >= d * d:
+            break
+        power = power * m
+    c = rows[pivot][d * d :]
+    return Polynomial.from_terms(Z_RING, {(j,): Q(x, c[k]) for j, x in enumerate(c)})
 
 
 def eliminant(algebra: ZeroDimAlgebra, var: int | str) -> Polynomial:

@@ -13,6 +13,7 @@ from realcurve.errors import NotSquare, NotSymmetric, VariableSetMismatch, ZeroP
 from realcurve.ideals import multivariate_gcd
 from realcurve.linalg import (
     RationalMatrix,
+    echelon_insert,
     isolate_real_roots,
     symmetric_signature,
 )
@@ -484,14 +485,23 @@ def _hadamard_bound(m: RationalMatrix) -> int:
 
 def test_kernel_elimination_keeps_rows_within_the_hadamard_bound():
     # the fraction-free rows are primitive multiples of Bareiss's rows of
-    # minors; without the content division they grow exponentially
+    # minors; without the content division they grow exponentially.  They
+    # are the unique primitive reduced echelon form, so inserting the same
+    # vectors in another order gives the same rows and pivots
     rng = random.Random(109)
     for _ in range(20):
         m = RationalMatrix.from_rows([[rng.randint(-9, 9) for _ in range(12)] for _ in range(10)])
         bound = _hadamard_bound(m)
-        rows, pivots = m._echelon()
-        assert len(pivots) == m.rank()
-        assert all(abs(x) <= bound for row in rows for x in row)
+        rows = m.echelon()
+        assert len(rows) == m.rank()
+        assert all(abs(x) <= bound for row in rows.values() for x in row)
+        shuffled = [m.ints[i * 12 : (i + 1) * 12] for i in range(10)]
+        rng.shuffle(shuffled)
+        reordered: dict[int, list[int]] = {}
+        for vec in shuffled:
+            echelon_insert(reordered, vec)
+        assert reordered == rows
+        assert all(abs(x) <= bound for row in reordered.values() for x in row)
 
 
 def test_congruence_pivots_stay_within_the_hadamard_bound():

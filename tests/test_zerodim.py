@@ -247,29 +247,69 @@ def _companion(p: Polynomial) -> list[list]:
     return [[int(r == c + 1) for c in range(n - 1)] + [-low[r]] for r in range(n)]
 
 
-def test_minimal_polynomial_by_construction():
+def _with_known_minimal_polynomial(rng: random.Random):
+    # a matrix similar to a block diagonal of companion matrices, and its
+    # minimal polynomial: the lcm of the blocks' polynomials
     from realcurve.linalg import RationalMatrix
+
+    blocks, top = [], [0] * len(MINPOLY_FACTORS)
+    for _ in range(rng.randint(0, 3)):
+        powers = [rng.choice((0, 0, 0, 1, 2)) for _ in MINPOLY_FACTORS]
+        p = zpoly([1])
+        for f, k in zip(MINPOLY_FACTORS, powers):
+            p = p * zpoly(f) ** k
+        if not 0 < p.degree_in(0) <= 6 - sum(len(b) for b in blocks):
+            continue
+        blocks.append(_companion(p))
+        top = [max(a, b) for a, b in zip(top, powers)]
+    expected = zpoly([1])
+    for f, k in zip(MINPOLY_FACTORS, top):
+        expected = expected * zpoly(f) ** k
+    n = sum(len(b) for b in blocks)
+    p, p_inv = random_elementary_product(rng, n, 2 * n)
+    assert p * p_inv == RationalMatrix.identity(n)
+    return p * block_diagonal(blocks) * p_inv, expected
+
+
+def test_minimal_polynomial_by_construction():
     from realcurve.zerodim import minimal_polynomial
 
     rng = random.Random(67)
     for _ in range(120):
-        blocks, top = [], [0] * len(MINPOLY_FACTORS)
-        for _ in range(rng.randint(0, 3)):
-            powers = [rng.choice((0, 0, 0, 1, 2)) for _ in MINPOLY_FACTORS]
-            p = zpoly([1])
-            for f, k in zip(MINPOLY_FACTORS, powers):
-                p = p * zpoly(f) ** k
-            if not 0 < p.degree_in(0) <= 6 - sum(len(b) for b in blocks):
-                continue
-            blocks.append(_companion(p))
-            top = [max(a, b) for a, b in zip(top, powers)]
-        expected = zpoly([1])
-        for f, k in zip(MINPOLY_FACTORS, top):
-            expected = expected * zpoly(f) ** k
-        n = sum(len(b) for b in blocks)
+        m, expected = _with_known_minimal_polynomial(rng)
+        assert minimal_polynomial(m) == expected
+
+
+def test_minimal_polynomial_forms_only_the_powers_it_needs(monkeypatch):
+    # M, M^2, ..., M^(deg mu): one matrix product per power, and none past
+    # the first dependent one.  A matrix similar to diag(A, A) has A's
+    # minimal polynomial, of degree at most half its size
+    from realcurve.linalg import RationalMatrix
+    from realcurve.zerodim import minimal_polynomial
+
+    multiply = RationalMatrix.__mul__
+    products = 0
+
+    def counted(a, b):
+        nonlocal products
+        products += 1
+        return multiply(a, b)
+
+    rng = random.Random(73)
+    below = 0
+    for _ in range(60):
+        a, expected = _with_known_minimal_polynomial(rng)
+        n = 2 * a.rows
         p, p_inv = random_elementary_product(rng, n, 2 * n)
-        assert p * p_inv == RationalMatrix.identity(n)
-        assert minimal_polynomial(p * block_diagonal(blocks) * p_inv) == expected
+        rows = [a.row(i) for i in range(a.rows)]
+        m = p * block_diagonal([rows, rows]) * p_inv
+        products = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(RationalMatrix, "__mul__", counted)
+            assert minimal_polynomial(m) == expected
+        assert products == expected.degree_in(0)
+        below += expected.degree_in(0) < m.rows
+    assert below >= 30
 
 
 def test_rational_points_found_and_certified():
