@@ -1,23 +1,25 @@
 """Iterated point blow-ups of curves and their exceptional fibers.
 
-A blow-up of the origin is computed chart by chart: chart k substitutes
-x_i -> x_k * x_i^ for i != k and divides out the exceptional divisor x_k by
-saturation, giving the strict transform on that chart.  Each chart records
-pullback expressions for every ORIGINAL ambient variable, composed through
-the whole chain of blow-ups and translations, so the scheme-theoretic fiber
-over the original point is always available as
+One chart map, _charts, blows up a chart at a rational center: it moves the
+center to the origin, then chart k substitutes x_i -> x_k * x_i^ for i != k
+and divides out the exceptional divisor x_k by saturation, giving the strict
+transform on that chart.  Each chart records pullback expressions for every
+ORIGINAL ambient variable, carried through the same translation and
+substitution at every level, so the scheme-theoretic fiber over the original
+point is always available as
 
     strict transform + pullbacks of the original variables.
 
 Charts of one blow-up overlap; to count each geometric fiber point exactly
 once, a point is attributed to the chart of its first nonzero homogeneous
 coordinate.  Chart k realizes this with the linear constraints
-x_1^ = ... = x_{k-1}^ = 0, and those constraints are composed down the chain
+x_0^ = ... = x_{k-1}^ = 0, and those constraints are composed down the chain
 exactly like the pullbacks.
 
 Resolution recurses: whenever the strict transform is singular at a rational
-point of the dedup-restricted fiber, that point is translated to the origin
-and blown up again.  Leaves are certified smooth along their restricted fiber
+point of the dedup-restricted fiber, the chart is blown up again at that
+point, through its reduced strict basis rather than the generators its
+saturation left.  Leaves are certified smooth along their restricted fiber
 inside the finite-dimensional fiber algebra A = Q[x]/(restricted fiber): the
 codimension-sized jacobian minors of the strict transform, reduced into A
 and multiplied there, must generate all of A.  In an Artinian ring an ideal
@@ -50,10 +52,10 @@ against the substituted generators of the ideal it blew up
 (SaturationResult.basis), so every kept chart is checked against its own
 blow-up.  By induction those checks put the original generators, pulled back
 along a composed chart, into its strict ideal, since ring maps compose and a
-translation is an automorphism; they cannot see a slip in _compose_chart or
-_translate_chart.  So each leaf below the root is also checked once against
-the original ideal along its composed pullbacks; inner charts, blown up again
-and never counted, are not.
+translation is an automorphism; they cannot see a slip in how _charts carries
+the pullbacks from one level to the next.  So each leaf below the root is
+also checked once against the original ideal along its composed pullbacks;
+inner charts, blown up again and never counted, are not.
 """
 
 from __future__ import annotations
@@ -96,9 +98,9 @@ class BlowupChart:
 
     pullbacks[i] expresses original variable i in this chart's coordinates;
     dedup_constraints select first-nonzero-coordinate representatives, both
-    composed through every blow-up and translation on the way here.  depth
-    counts the blow-ups performed.  Chart k of a blow-up has exceptional
-    divisor chart_variables.names[k]; the identity chart, the root of every
+    carried through every chart map on the way here.  depth counts the
+    blow-ups performed.  Chart k of a blow-up has exceptional divisor
+    chart_variables.names[k]; the identity chart, the root of every
     resolution, has depth 0 and chart_index -1.
 
     Two computed companions ride along without taking part in comparisons:
@@ -156,8 +158,8 @@ def _check_pullback_soundness(chart: BlowupChart, original: IdealPresentation) -
     """Each generator of original, pulled back along the composed chart, must reduce to 0.
 
     The strict basis was already checked against the ideal its own blow-up
-    started from (SaturationResult.basis); this checks the composition of
-    pullbacks through every blow-up and translation since the original.
+    started from (SaturationResult.basis); this checks the pullbacks composed
+    through every chart map since the original.
     """
     target, pullbacks = chart.chart_variables, list(chart.pullbacks)
     for g in original.generators:
@@ -165,32 +167,48 @@ def _check_pullback_soundness(chart: BlowupChart, original: IdealPresentation) -
             raise AssertionError("pullback of a generator escapes the strict ideal")
 
 
-def _charts(i: IdealPresentation) -> Iterator[tuple[BlowupChart, SaturationResult]]:
-    """Chart by chart, the blow-up of the origin before any strict basis.
+def _charts(
+    state: BlowupChart, center: Sequence[Fraction]
+) -> Iterator[tuple[BlowupChart, SaturationResult]]:
+    """Chart by chart, the blow-up of state at a rational center, before any strict basis.
 
-    Yields each chart with the saturation of the images of the generators of
-    i under its pullbacks; the saturation's basis, checked against those
-    images, is computed only on first use.
+    The strict generators, pullbacks and dedup constraints of state are
+    translated once, moving center to the origin, where every strict
+    generator must vanish (OriginNotOnVariety otherwise).  Chart k
+    substitutes x_i -> x_k * x_i^ for i != k in all of them, saturates the
+    substituted generators by x_k and appends its own constraints
+    x_0^, ..., x_{k-1}^.  Each chart comes with that saturation, whose basis,
+    checked against the substituted generators, is computed on first use.
     """
-    n = len(i.variables)
-    if any(g.constant_term() != 0 for g in i.generators):
-        raise OriginNotOnVariety("a generator does not vanish at the origin")
+    variables = state.chart_variables
+    n = len(variables)
+    generators = [g.translate(center) for g in state.strict_ideal.generators]
+    if any(g.constant_term() != 0 for g in generators):
+        raise OriginNotOnVariety("a generator does not vanish at the center")
+    pullbacks = [p.translate(center) for p in state.pullbacks]
+    constraints = [q.translate(center) for q in state.dedup_constraints]
+    # at the origin the identity chart's pullbacks, the variables, map to the images
+    identity = state.chart_index == -1 and not any(center)
     for k in range(n):
-        chart_vars = _hat_names(i.variables.names, k)
-        center = Polynomial.variable(chart_vars, k)
+        chart_vars = _hat_names(variables.names, k)
+        exceptional = Polynomial.variable(chart_vars, k)
         images = [
-            center if idx == k else center * Polynomial.variable(chart_vars, idx)
+            exceptional if idx == k else exceptional * Polynomial.variable(chart_vars, idx)
             for idx in range(n)
         ]
-        substituted = ideal(chart_vars, (ring_map(g, chart_vars, images) for g in i.generators))
-        strict = saturate(substituted, ideal(chart_vars, (center,)))
+
+        def pull(polys: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
+            return tuple(ring_map(f, chart_vars, images) for f in polys)
+
+        strict = saturate(ideal(chart_vars, pull(generators)), ideal(chart_vars, (exceptional,)))
         chart = BlowupChart(
             chart_index=k,
             chart_variables=chart_vars,
             strict_ideal=strict.ideal,
-            pullbacks=tuple(images),
-            depth=1,
-            dedup_constraints=tuple(Polynomial.variable(chart_vars, idx) for idx in range(k)),
+            pullbacks=tuple(images) if identity else pull(pullbacks),
+            depth=state.depth + 1,
+            dedup_constraints=pull(constraints)
+            + tuple(Polynomial.variable(chart_vars, idx) for idx in range(k)),
         )
         yield chart, strict
 
@@ -202,7 +220,8 @@ def blowup_origin(i: IdealPresentation) -> list[BlowupChart]:
     variable x_k, whose vanishing is the exceptional divisor.  Every chart
     carries its strict basis and has been checked against i.
     """
-    return [replace(chart, strict_basis=strict.basis) for chart, strict in _charts(i)]
+    charts = _charts(_identity_chart(i), [Q(0)] * len(i.variables))
+    return [replace(chart, strict_basis=strict.basis) for chart, strict in charts]
 
 
 def fiber_ideal(chart: BlowupChart, dedup: bool) -> IdealPresentation:
@@ -255,48 +274,24 @@ def resolve_curve(
         raise DimensionUnknown(
             "radicality not certified; classify_point(..., assume_radical=True) asserts it"
         )
-    n = len(i.variables)
-    if rank_at(jacobian(i), [Q(0)] * n) == n - 1:
+    origin = [Q(0)] * len(i.variables)
+    if rank_at(jacobian(i), origin) == len(origin) - 1:
         return SmoothModel((_identity_chart(i),))
     leaves: list[BlowupChart] = []
-    _resolve_chart(_identity_chart(i), max_depth, leaves, i)
+    _resolve_chart(_identity_chart(i), origin, max_depth, leaves, i)
     return SmoothModel(tuple(leaves))
 
 
-def _compose_chart(previous: BlowupChart, chart: BlowupChart) -> BlowupChart:
-    target, images = chart.chart_variables, list(chart.pullbacks)
-    return replace(
-        chart,
-        pullbacks=tuple(ring_map(p, target, images) for p in previous.pullbacks),
-        depth=previous.depth + 1,
-        dedup_constraints=tuple(ring_map(q, target, images) for q in previous.dedup_constraints)
-        + chart.dedup_constraints,
-    )
-
-
-def _translate_chart(chart: BlowupChart, point: Sequence[Fraction]) -> BlowupChart:
-    # the saturation basis belongs to the untranslated strict ideal
-    return replace(
-        chart,
-        strict_ideal=IdealPresentation(
-            chart.chart_variables,
-            tuple(g.translate(point) for g in chart.strict_ideal.generators),
-        ),
-        pullbacks=tuple(p.translate(point) for p in chart.pullbacks),
-        dedup_constraints=tuple(q.translate(point) for q in chart.dedup_constraints),
-        strict_basis=None,
-    )
-
-
 def _resolve_chart(
-    state: BlowupChart, max_depth: int, leaves: list[BlowupChart], original: IdealPresentation
+    state: BlowupChart,
+    center: Sequence[Fraction],
+    max_depth: int,
+    leaves: list[BlowupChart],
+    original: IdealPresentation,
 ) -> None:
     if state.depth >= max_depth:
         raise DepthExceeded(max_depth)
-    for chart, strict in _charts(state.strict_ideal):
-        # composing with the identity chart at the root is a no-op
-        if state.depth > 0:
-            chart = _compose_chart(state, chart)
+    for chart, strict in _charts(state, center):
         algebra = _fiber_algebra(chart)
         if not algebra.dimension:
             # the reduced basis is {1}: no fiber point is counted on this chart
@@ -313,7 +308,10 @@ def _resolve_chart(
         points, all_rational = rational_points(singular)
         if not all_rational:
             raise IrrationalSingularFiberPoint(singular.ideal)
-        _resolve_chart(_translate_chart(chart, points[0]), max_depth, leaves, original)
+        # blow up the reduced strict basis: the same ideal as the saturation's
+        # generators, whose coefficients can run to hundreds of bits
+        basis = IdealPresentation(chart.chart_variables, chart.strict_basis.basis)
+        _resolve_chart(replace(chart, strict_ideal=basis), points[0], max_depth, leaves, original)
 
 
 def _fiber_algebra(chart: BlowupChart) -> ZeroDimAlgebra:

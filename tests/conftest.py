@@ -243,10 +243,11 @@ def reference_resolve_curve(i: IdealPresentation, max_depth: int = 6):
     """resolve_curve as it ran before charts with an empty restricted fiber were dropped.
 
     Every chart of every blow-up gets its strict basis and its pullback
-    checks, and is certified or blown up again; every smooth one is a leaf,
-    the charts that hold no fiber point included.  The singular points come
-    from an algebra that Buchberger builds anew for the singular fiber's
-    ideal, not from the quotient of the fiber algebra.
+    checks, and is certified or blown up again through the raw generators of
+    its saturation; every smooth one is a leaf, the charts that hold no fiber
+    point included.  The singular points come from an algebra that
+    Buchberger builds anew for the singular fiber's ideal, not from the
+    quotient of the fiber algebra.
     """
     from dataclasses import replace
 
@@ -255,17 +256,17 @@ def reference_resolve_curve(i: IdealPresentation, max_depth: int = 6):
     from realcurve.singular import jacobian, rank_at
     from realcurve.zerodim import build, rational_points
 
-    n = len(i.variables)
-    if rank_at(jacobian(i), [Q(0)] * n) == n - 1:
+    origin = [Q(0)] * len(i.variables)
+    if rank_at(jacobian(i), origin) == len(origin) - 1:
         return blowup.SmoothModel((blowup._identity_chart(i),))
     leaves = []
 
-    def resolve(state):
+    def resolve(state, center):
         if state.depth >= max_depth:
             raise DepthExceeded(max_depth)
-        for chart in blowup.blowup_origin(state.strict_ideal):
+        for chart, strict in blowup._charts(state, center):
+            chart = replace(chart, strict_basis=strict.basis)
             if state.depth > 0:
-                chart = blowup._compose_chart(state, chart)
                 blowup._check_pullback_soundness(chart, i)
             algebra = blowup._fiber_algebra(chart)
             singular = blowup._singular_fiber(chart, algebra)
@@ -275,9 +276,9 @@ def reference_resolve_curve(i: IdealPresentation, max_depth: int = 6):
             points, all_rational = rational_points(build(singular.ideal))
             if not all_rational:
                 raise IrrationalSingularFiberPoint(singular.ideal)
-            resolve(blowup._translate_chart(chart, points[0]))
+            resolve(chart, points[0])
 
-    resolve(blowup._identity_chart(i))
+    resolve(blowup._identity_chart(i), origin)
     return blowup.SmoothModel(tuple(leaves))
 
 

@@ -170,20 +170,120 @@ def test_composed_check_below_the_root_catches_broken_composition(monkeypatch):
     from realcurve import blowup, classify_point
     from realcurve.ideals import intersect
 
-    original = blowup._compose_chart
+    original = blowup._charts
 
-    # a shift by one place; a reversal would undo itself after two
-    # compositions, and the space curve's leaves sit at depth 3
-    def rotated_pullbacks(previous, chart):
-        composed = original(previous, chart)
-        return replace(composed, pullbacks=composed.pullbacks[1:] + composed.pullbacks[:1])
+    # a shift by one place of the composed pullbacks of every chart below the
+    # root; a reversal would undo itself after two compositions, and the
+    # space curve's leaves sit at depth 3
+    def rotated_pullbacks(state, center):
+        for chart, strict in original(state, center):
+            if chart.depth > 1:
+                chart = replace(chart, pullbacks=chart.pullbacks[1:] + chart.pullbacks[:1])
+            yield chart, strict
 
     space = intersect(*(make_ideal("x,y,z", *branch) for branch in OSCULATING_BRANCHES))
-    monkeypatch.setattr(blowup, "_compose_chart", rotated_pullbacks)
+    monkeypatch.setattr(blowup, "_charts", rotated_pullbacks)
     with pytest.raises(AssertionError, match="escapes the strict ideal"):
         resolve_curve(make_ideal("x,y", TACNODE_CHAIN))
     with pytest.raises(AssertionError, match="escapes the strict ideal"):
         classify_point(space, [0, 0, 0], assume_radical=True)
+
+
+def _three_step_charts(state, center):
+    """The blow-up of state at center in three steps: translate, blow up the origin, compose."""
+    from dataclasses import replace
+
+    from realcurve.ideals import IdealPresentation
+
+    moved = IdealPresentation(
+        state.chart_variables, tuple(g.translate(center) for g in state.strict_ideal.generators)
+    )
+    pullbacks = [p.translate(center) for p in state.pullbacks]
+    constraints = [q.translate(center) for q in state.dedup_constraints]
+    charts = []
+    for chart in blowup_origin(moved):
+        target, images = chart.chart_variables, list(chart.pullbacks)
+        charts.append(
+            replace(
+                chart,
+                pullbacks=tuple(ring_map(p, target, images) for p in pullbacks),
+                depth=state.depth + 1,
+                dedup_constraints=tuple(ring_map(q, target, images) for q in constraints)
+                + chart.dedup_constraints,
+            )
+        )
+    return charts
+
+
+def _assert_chart_map_matches_three_steps(state, center):
+    from realcurve.blowup import _charts
+
+    charts = list(_charts(state, center))
+    expected = _three_step_charts(state, center)
+    assert [c.chart_index for c, _ in charts] == [c.chart_index for c in expected]
+    for (chart, strict), want in zip(charts, expected):
+        assert chart.depth == want.depth == state.depth + 1
+        assert chart.chart_variables == want.chart_variables
+        assert chart.pullbacks == want.pullbacks
+        assert chart.dedup_constraints == want.dedup_constraints
+        assert ideal_equal(chart.strict_ideal, want.strict_ideal)
+        assert strict.basis == want.strict_basis
+
+
+def _inner_blowups(monkeypatch, run):
+    """Run `run` and return the (state, center) of every blow-up below the root."""
+    from realcurve import blowup
+
+    calls = []
+    original = blowup._charts
+
+    def recording(state, center):
+        if state.depth > 0:
+            calls.append((state, center))
+        return original(state, center)
+
+    with monkeypatch.context() as m:
+        m.setattr(blowup, "_charts", recording)
+        run()
+    return calls
+
+
+def test_chart_map_matches_translate_blow_up_and_compose(monkeypatch):
+    from realcurve import classify_point
+    from realcurve.ideals import intersect
+
+    # an inner chart of the tacnode chain at each of its sibling centers
+    chain = make_ideal("x,y", TACNODE_CHAIN)
+    inner = _inner_blowups(monkeypatch, lambda: resolve_curve(chain))
+    assert [state.depth for state, _ in inner] == [1, 2, 3]
+    state, center = inner[0]
+    assert tuple(center) == (0, 1)
+    for slope in (1, 2, 3):
+        _assert_chart_map_matches_three_steps(state, [Q(0), Q(slope)])
+    for state, center in inner[1:]:
+        _assert_chart_map_matches_three_steps(state, center)
+    # the osculating space branches: their inner centers are origins, so the
+    # depth-1 chart is also blown up at a point of each branch off the origin
+    space = intersect(*(make_ideal("x,y,z", *branch) for branch in OSCULATING_BRANCHES))
+    run = lambda: classify_point(space, [0, 0, 0], assume_radical=True)  # noqa: E731
+    inner = _inner_blowups(monkeypatch, run)
+    assert [state.depth for state, _ in inner] == [1, 2]
+    for state, center in inner:
+        _assert_chart_map_matches_three_steps(state, center)
+    for point in ([1, 1, 1], [2, 6, 4]):
+        _assert_chart_map_matches_three_steps(inner[0][0], [Q(c) for c in point])
+    # a tacnode pair whose centers sit at slopes of height 10^9
+    a = 1000000007
+    pair = make_ideal("x,y", f"((y - {a}x)^2 - x^4)*((y - {a + 2}x)^2 - x^4)")
+    _assert_chart_map_matches_three_steps(blowup_origin(pair)[0], [Q(0), Q(a)])
+
+
+def test_chart_map_rejects_a_center_off_the_strict_transform():
+    from realcurve.blowup import _charts
+
+    chart = blowup_origin(make_ideal("x,y", TACNODE_CHAIN))[0]
+    with pytest.raises(OriginNotOnVariety):
+        next(_charts(chart, [Q(0), Q(5, 2)]))
 
 
 def test_dedup_constraints_shape(node):
@@ -257,7 +357,7 @@ def test_blowup_of_smooth_origin_recovers_single_reduced_point(node):
 
     moved = translate_ideal(node, [-1, 0])
     leaves = []
-    _resolve_chart(_identity_chart(moved), 6, leaves, moved)
+    _resolve_chart(_identity_chart(moved), [0, 0], 6, leaves, moved)
     summary = fiber_summary(SmoothModel(tuple(leaves)))
     assert (summary.real_points, summary.nonreduced_real_points) == (1, 0)
 

@@ -258,6 +258,12 @@ SPACE_CURVES = [
      ("not-manifold-point", 3, (2, 2, 0))),
     ("cusp-t2-t3-t4", lambda: _image("t^2", "t^3", "t^4"), ("not-manifold-point", 1, (1, 1, 1))),
     ("cusp-t2-t3-t5", lambda: _image("t^2", "t^3", "t^5"), ("not-manifold-point", 1, (1, 1, 1))),
+    # a strict basis of this pair took about a minute while each blow-up
+    # substituted the raw saturation generators of the chart before it
+    ("order-3-branches",
+     lambda: _union(_graph("-2*x - 3*x^2 - x^4", "-2*x - 3*x^2 + x^3 + 3*x^4"),
+                    _graph("-2*x - 3*x^2 + 2*x^3 - 3*x^4", "-2*x - 3*x^2 + 2*x^3 + x^4")),
+     ("not-manifold-point", 3, (2, 2, 0))),
 ]
 
 
@@ -311,10 +317,13 @@ def _random_branch_pair(rng: random.Random, m: int, degree: int = 3) -> tuple[st
     return tuple(map(_taylor, (p1, q1, p2, q2)))
 
 
-# order 3 is covered by "osculating-branches": drawn pairs of that order ran
-# 45-82 s each in the strict-basis Buchberger calls
-@pytest.mark.parametrize("m, draw", [(m, draw) for m in (1, 2) for draw in range(3)])
+# order-3 pairs are drawn to degree 4, so that each graph goes on past the
+# order where the pair separates (degree-3 draws take milliseconds); draw 0
+# took 36 s while each blow-up substituted the raw saturation generators of
+# the chart before it
+@pytest.mark.parametrize("m, draw", [(m, draw) for m in (1, 2, 3) for draw in range(3)])
 def test_seeded_branch_pairs_separate_at_their_order(m, draw, hang_guard):
-    p1, q1, p2, q2 = _random_branch_pair(random.Random(f"branches-{m}-{draw}"), m)
+    rng = random.Random(f"branches-{m}-{draw}")
+    p1, q1, p2, q2 = _random_branch_pair(rng, m, degree=max(3, m + 1))
     i = _union(_graph(p1, q1), _graph(p2, q2))
     assert _space_outcome(i) == ("not-manifold-point", m, (2, 2, 0)), (p1, q1, p2, q2)
