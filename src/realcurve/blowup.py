@@ -33,19 +33,32 @@ leaf keeps A for the point counts; its non-reduced points are read off one
 algebra of its full fiber, by quotients too, with no other Groebner basis.
 
 A chart is certified or blown up again only when its restricted fiber holds
-a point.  Its fiber algebra is built first, from the strict generators and
-the composed pullbacks and constraints, before the chart has a strict basis;
-when the reduced basis of that fiber ideal is {1}, an exact certificate that
-the fiber is empty, the chart is dropped without a strict basis, a pullback
-check or a leaf.  This is sound because the restricted fibers of the charts
-partition the fiber over the original point: a dropped chart adds nothing to
-the real or complex counts, and its non-reduced locus, cut by the same
-constraints, is empty too, so no sum in fiber_summary moves.  Emptiness is
-decided over the original point, never over the chart's own center: below
-the root a chart can miss its center and still carry a point of an earlier
-blow-up.  Nor does skipping the checks hide anything: a pullback check only
-catches a strict ideal that is too small, and a smaller ideal can only
-enlarge a fiber, never empty one.
+a point.  At the root the tangent cone rules most empty charts out before
+they are built.  Chart k's restricted fiber lies on the exceptional divisor,
+which is Proj of the tangent cone V(in(I)), in(I) the ideal of lowest-degree
+forms, and there on the set x_0 = ... = x_{k-1} = 0, x_k != 0 of P^(n-1).
+The generators, their linear parts cleared against each other by integer
+combinations, stay in I, so their lowest-degree forms lie in in(I).  If one
+of them, with x_<k = 0, is c * x_k^m with c != 0, it has no zero in that
+set, and chart k gets no substitution, saturation, fiber algebra or check.
+For a principal plane ideal the lowest form of the generator is all of
+in(I), and every empty root chart is caught.  Below the root the shortcut
+does not apply: a chart's fiber over the original point can hold points of
+an earlier blow-up other than its center, and the tangent cone at the
+center does not see them.  Every chart that is built gets its fiber algebra
+first, from the strict generators and the composed pullbacks and
+constraints, before it has a strict basis; when the reduced basis of that
+fiber ideal is {1}, an exact certificate that the fiber is empty, the chart
+is dropped without a strict basis, a pullback check or a leaf.  Both are
+sound because the restricted fibers of the charts partition the fiber over
+the original point: a dropped chart adds nothing to the real or complex
+counts, and its non-reduced locus, cut by the same constraints, is empty
+too, so no sum in fiber_summary moves.  Emptiness is decided over the
+original point, never over the chart's own center: below the root a chart
+can miss its center and still carry a point of an earlier blow-up.  Nor does
+skipping the checks hide anything: a pullback check only catches a strict
+ideal that is too small, and a smaller ideal can only enlarge a fiber, never
+empty one.
 
 Every counted chart is checked twice.  Saturation checks its strict basis
 against the substituted generators of the ideal it blew up
@@ -62,7 +75,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DepthExceeded,
@@ -73,7 +86,7 @@ from .errors import (
 )
 from .groebner import GroebnerBasis, normal_form
 from .ideals import IdealPresentation, SaturationResult, basis_dimension, ideal, saturate
-from .polynomials import Polynomial, VariableSet, ring_map
+from .polynomials import Exponent, Polynomial, VariableSet, ring_map
 from .singular import (
     RadicalityCertificate,
     jacobian,
@@ -168,7 +181,7 @@ def _check_pullback_soundness(chart: BlowupChart, original: IdealPresentation) -
 
 
 def _charts(
-    state: BlowupChart, center: Sequence[Fraction]
+    state: BlowupChart, center: Sequence[Fraction], indices: Iterable[int] | None = None
 ) -> Iterator[tuple[BlowupChart, SaturationResult]]:
     """Chart by chart, the blow-up of state at a rational center, before any strict basis.
 
@@ -179,6 +192,7 @@ def _charts(
     substituted generators by x_k and appends its own constraints
     x_0^, ..., x_{k-1}^.  Each chart comes with that saturation, whose basis,
     checked against the substituted generators, is computed on first use.
+    Only the charts k in indices are built, every chart when it is None.
     """
     variables = state.chart_variables
     n = len(variables)
@@ -189,7 +203,7 @@ def _charts(
     constraints = [q.translate(center) for q in state.dedup_constraints]
     # at the origin the identity chart's pullbacks, the variables, map to the images
     identity = state.chart_index == -1 and not any(center)
-    for k in range(n):
+    for k in range(n) if indices is None else indices:
         chart_vars = _hat_names(variables.names, k)
         exceptional = Polynomial.variable(chart_vars, k)
         images = [
@@ -291,7 +305,10 @@ def _resolve_chart(
 ) -> None:
     if state.depth >= max_depth:
         raise DepthExceeded(max_depth)
-    for chart, strict in _charts(state, center):
+    # the tangent cone at the root sees the whole fiber over the original
+    # point; below it a chart can also hold points of an earlier blow-up
+    indices = _charts_the_cone_allows(state.strict_ideal) if state.depth == 0 else None
+    for chart, strict in _charts(state, center, indices):
         algebra = _fiber_algebra(chart)
         if not algebra.dimension:
             # the reduced basis is {1}: no fiber point is counted on this chart
@@ -312,6 +329,51 @@ def _resolve_chart(
         # generators, whose coefficients can run to hundreds of bits
         basis = IdealPresentation(chart.chart_variables, chart.strict_basis.basis)
         _resolve_chart(replace(chart, strict_ideal=basis), points[0], max_depth, leaves, original)
+
+
+def _charts_the_cone_allows(i: IdealPresentation) -> list[int]:
+    """The root charts whose restricted fiber the tangent cone does not prove empty.
+
+    The linear parts of the generators, the rows of the jacobian at the
+    origin, are cleared against each other, with the generators combined in
+    step and by integer multiples only.  Each result lies in I, so its
+    lowest-degree form F lies in in(I), the ideal of the tangent cone.  When
+    some F with x_0 = ... = x_{k-1} = 0 is c * x_k^m with c != 0, no point of
+    V(in(I)) in P^(n-1) has x_<k = 0 and x_k != 0, and chart k's restricted
+    fiber, which lies there, is empty.
+    """
+    n = len(i.variables)
+    pending = [g.primitive() for g in i.generators]
+    pivots: list[Polynomial] = []
+    for v in range(n):
+        e = tuple(int(j == v) for j in range(n))
+        pivot = next((g for g in pending if e in g.terms), None)
+        if pivot is None:
+            continue
+        pending.remove(pivot)
+
+        def clear(g: Polynomial) -> Polynomial:
+            # content 1 throughout, so terms[e] is the coefficient of x_v
+            if e not in g.terms:
+                return g
+            return (g.scale(pivot.terms[e]) - pivot.scale(g.terms[e])).primitive()
+
+        pending = [clear(g) for g in pending]
+        pivots = [clear(g) for g in pivots] + [pivot]
+    forms = [_lowest_form(g) for g in pivots + pending if not g.is_zero()]
+    return [k for k in range(n) if not any(_rules_out_chart(form, k) for form in forms)]
+
+
+def _lowest_form(f: Polynomial) -> list[Exponent]:
+    # the monomials of f's lowest-degree homogeneous part, whose coefficients are nonzero
+    low = min(map(sum, f.terms))
+    return [e for e in f.terms if sum(e) == low]
+
+
+def _rules_out_chart(form: list[Exponent], k: int) -> bool:
+    # form with x_0 = ... = x_{k-1} = 0 is a single term c * x_k^m, c != 0
+    rest = [e for e in form if not any(e[:k])]
+    return len(rest) == 1 and not any(rest[0][k + 1 :])
 
 
 def _fiber_algebra(chart: BlowupChart) -> ZeroDimAlgebra:

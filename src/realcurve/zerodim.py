@@ -154,7 +154,7 @@ class ZeroDimAlgebra:
         rows = {d - 1 - p: row[::-1] for p, row in reversed_rows.items()}
         kept = [k for k in range(d) if k not in rows]
         if not kept:
-            return ZeroDimAlgebra(gens, (), (RationalMatrix.zero(0, 0),) * len(self.mult_matrices))
+            return self._zero(gens)
         # column c holds the coordinates of the normal form of b_c mod I'
         den = lcm(*(row[p] for p, row in rows.items()))
         projection = [
@@ -166,6 +166,10 @@ class ZeroDimAlgebra:
         include = RationalMatrix(d, len(kept), [int(r == c) for r in range(d) for c in kept])
         matrices = tuple(project * m * include for m in self.mult_matrices)
         return _commuting(ZeroDimAlgebra(gens, tuple(self.basis[k] for k in kept), matrices))
+
+    def _zero(self, i: IdealPresentation) -> ZeroDimAlgebra:
+        # the zero algebra of a quotient of A, presented by the ideal i
+        return ZeroDimAlgebra(i, (), (RationalMatrix.zero(0, 0),) * len(self.mult_matrices))
 
 
 def _commuting(algebra: ZeroDimAlgebra) -> ZeroDimAlgebra:
@@ -330,10 +334,15 @@ def nonreduced_quotient(algebra: ZeroDimAlgebra, cut: Iterable[Polynomial] = ())
     N: the common kernel of the multiplication matrices of a basis of N;
     scaling each matrix's block of rows by its denominator leaves that kernel
     as it is.  When N = 0 (the zero algebra of an empty fiber included) the
-    annihilator is A and the quotient is the zero algebra.
+    annihilator is A and the quotient is the zero algebra.  It is returned
+    at once, presented as quotient would present it: by I plus the unit
+    element, or by I alone when A is already zero.
     """
     nil = trace_form(algebra).kernel()
     d = algebra.dimension
+    if not nil:
+        unit = (Polynomial.one(algebra.ideal.variables),) if d else ()
+        return algebra._zero(ideal(algebra.ideal.variables, algebra.ideal.generators + unit))
     stacked = [x for m in _operators(algebra, nil) for x in m.ints]
     annihilator = RationalMatrix(len(nil) * d, d, stacked).kernel()
     elements = chain(_operators(algebra, annihilator), (algebra.operator(f) for f in cut))

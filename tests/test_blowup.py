@@ -149,15 +149,28 @@ def test_saturation_checks_the_strict_basis_of_each_kept_chart(monkeypatch):
 def test_node_chart_without_fiber_points_gets_no_basis_or_check(
     monkeypatch, node, buchberger_inputs
 ):
+    from realcurve import blowup
+
     dropped = blowup_origin(node)[1]
     assert is_unit_ideal(fiber_ideal(dropped, dedup=True))
     buchberger_inputs.clear()
     calls = _record_pullback_checks(monkeypatch)
+    saturated = []
+    original = blowup.saturate
+
+    def recording(i, j):
+        saturated.append(i.variables)
+        return original(i, j)
+
+    monkeypatch.setattr(blowup, "saturate", recording)
     model = resolve_curve(node)
     assert [(c.depth, c.chart_index) for c in model.charts] == [(1, 0)]
     assert calls == []
     # saturation checks a chart when it builds its basis, and this one gets none
     assert buchberger_inputs[dropped.strict_ideal.generators, "grevlex"] == 0
+    # the tangent cone y^2 - x^2 has no point with x = 0, so chart 1 is never saturated
+    assert saturated == [model.charts[0].chart_variables]
+    assert dropped.chart_variables not in saturated
 
 
 # the depth-3 space curve (t, t^2, t^3) ∪ (t, t^2 + t^3, t^3) of test_ground_truth
@@ -175,8 +188,8 @@ def test_composed_check_below_the_root_catches_broken_composition(monkeypatch):
     # a shift by one place of the composed pullbacks of every chart below the
     # root; a reversal would undo itself after two compositions, and the
     # space curve's leaves sit at depth 3
-    def rotated_pullbacks(state, center):
-        for chart, strict in original(state, center):
+    def rotated_pullbacks(state, center, indices=None):
+        for chart, strict in original(state, center, indices):
             if chart.depth > 1:
                 chart = replace(chart, pullbacks=chart.pullbacks[1:] + chart.pullbacks[:1])
             yield chart, strict
@@ -237,10 +250,10 @@ def _inner_blowups(monkeypatch, run):
     calls = []
     original = blowup._charts
 
-    def recording(state, center):
+    def recording(state, center, indices=None):
         if state.depth > 0:
             calls.append((state, center))
-        return original(state, center)
+        return original(state, center, indices)
 
     with monkeypatch.context() as m:
         m.setattr(blowup, "_charts", recording)
@@ -531,21 +544,22 @@ def test_strict_transform_basis_comes_from_saturation_only(monkeypatch, buchberg
 
 def test_resolution_without_a_certificate_repeats_no_basis(buchberger_inputs):
     # the certificate computed up front supplies the dimension, so nothing
-    # reduces the curve a second time to find it; the chart that holds no
-    # fiber point gets no strict basis and no fiber algebra of its full fiber
+    # reduces the curve a second time to find it; the charts that the tangent
+    # cone proves empty get no saturation and no fiber algebra at all
     resolve_curve(make_ideal("x,y,z", "y^2 - x^2 - x^3", "z - x*y"))
-    assert sum(buchberger_inputs.values()) == 9
+    assert sum(buchberger_inputs.values()) == 5
     assert set(buchberger_inputs.values()) == {1}
 
 
-def test_fourbar_case_runs_twelve_bases_and_one_leaf(monkeypatch, buchberger_inputs):
+def test_fourbar_case_runs_six_bases_and_one_leaf(monkeypatch, buchberger_inputs):
     # charts x and u have empty fibers and chart v holds only points that
-    # chart y counts: they get no strict basis, no check and no leaf
+    # chart y counts: the tangent cone proves all three empty, so they get no
+    # saturation, no fiber algebra, no check and no leaf
     from realcurve import FourBarParams, analyze_fourbar
 
     params = FourBarParams.of(Q(7), Q(3, 2))
     models = _summarized_models(monkeypatch, lambda: analyze_fourbar(params))
-    assert sum(buchberger_inputs.values()) == 12
+    assert sum(buchberger_inputs.values()) == 6
     assert [[(c.depth, c.chart_index) for c in model.charts] for model in models] == [[(1, 1)]]
     fiber = fiber_summary(models[0])
     assert (fiber.real_points, fiber.complex_points, fiber.nonreduced_real_points) == (2, 2, 0)
@@ -724,7 +738,7 @@ def test_singular_points_and_nonreduced_counts_build_no_basis(monkeypatch, buchb
     assert c.certificate.fiber == FiberSummary(3, 3, 1)
     assert entered["rational_points"] and entered["nonreduced_quotient"]
     assert not escaped
-    assert (sum(buchberger_inputs.values()), len(buchberger_inputs)) == (13, 12)
+    assert (sum(buchberger_inputs.values()), len(buchberger_inputs)) == (11, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -821,3 +835,83 @@ def test_resolution_matches_the_keep_every_chart_reference(monkeypatch, label, r
     for i, max_depth in calls:
         expected = _resolution_outcome(reference_resolve_curve, i, max_depth)
         assert _resolution_outcome(resolve_curve, i, max_depth) == expected
+
+
+# ---------------------------------------------------------------------------
+# root charts that the tangent cone proves empty, against the reference
+
+
+def _tangent_cone_cases():
+    """(label, run, fourbar) triples; run classifies one input through the pipeline.
+
+    The goldens, the four-bars of acceptance criterion 7, the ground-truth
+    plane germs and the fixed and seeded space curves of test_ground_truth.
+    """
+    import random
+
+    import test_ground_truth as truth
+    from realcurve import analyze_fourbar, classify_point, parse_ideal
+
+    def space(build):
+        return lambda: classify_point(build(), [0, 0, 0], assume_radical=True)
+
+    def germ(kinds):
+        i = parse_ideal(truth.random_germ(random.Random("-".join(kinds)), kinds).ideal_text())
+        return lambda: classify_point(i, [0, 0], max_depth=8)
+
+    def lines(k):
+        directions = truth._random_directions(random.Random(f"lines-{k}"), k)
+        return lambda: truth._union(*map(truth._line, directions))
+
+    def branches(m, draw):
+        rng = random.Random(f"branches-{m}-{draw}")
+        p1, q1, p2, q2 = truth._random_branch_pair(rng, m, degree=max(3, m + 1))
+        return lambda: truth._union(truth._graph(p1, q1), truth._graph(p2, q2))
+
+    cases = [(f"golden:{name}", _golden_run(name), name.startswith("fourbar")) for name in GOLDENS]
+    for params in _seeded_fourbars(10, seed=202_408):
+        cases.append((f"fourbar:{params.l2},{params.l4}", lambda p=params: analyze_fourbar(p), True))
+    cases += [(f"germ:{'-'.join(kinds)}", germ(kinds), False) for kinds in truth.GERM_KINDS]
+    cases += [(f"space:{label}", space(build), False) for label, build, _ in truth.SPACE_CURVES]
+    cases += [(f"space:lines-{k}", space(lines(k)), False) for k in range(2, 5)]
+    for m in (1, 2, 3):
+        for draw in range(3):
+            cases.append((f"space:branches-{m}-{draw}", space(branches(m, draw)), False))
+    return cases
+
+
+TANGENT_CONE_CASES = _tangent_cone_cases()
+
+
+@pytest.mark.parametrize(
+    "label, run, fourbar", TANGENT_CONE_CASES, ids=[label for label, _, _ in TANGENT_CONE_CASES]
+)
+def test_tangent_cone_skips_only_empty_root_charts(monkeypatch, label, run, fourbar):
+    # the keep-every-chart reference builds every root chart (_charts with no
+    # indices) and its restricted fiber algebra; a chart the resolution does
+    # not build must have the zero algebra there, and for a principal plane
+    # ideal, whose tangent cone is the lowest form of its generator, and for
+    # a four-bar the resolution builds exactly the charts with a fiber point
+    from realcurve import blowup
+
+    original = blowup._charts
+    roots = []
+
+    def recording(state, center, indices=None):
+        if state.depth == 0:
+            roots.append((state, range(len(center)) if indices is None else list(indices)))
+        return original(state, center, indices)
+
+    with monkeypatch.context() as m:
+        m.setattr(blowup, "_charts", recording)
+        result = run()
+    # the root is blown up unless the origin is a smooth point
+    assert roots or result.verdict.value == "smooth-manifold-point"
+    for state, built in roots:
+        strict = state.strict_ideal
+        n = len(strict.variables)
+        reference = [blowup._fiber_algebra(c).dimension for c, _ in original(state, [Q(0)] * n)]
+        skipped = set(range(n)) - set(built)
+        assert all(reference[k] == 0 for k in skipped), (strict, skipped, reference)
+        if fourbar or (n == 2 and len(strict.generators) == 1):
+            assert skipped == {k for k, d in enumerate(reference) if not d}, (strict, reference)

@@ -117,6 +117,9 @@ def test_structure_constants_match_normal_forms_on_every_golden_algebra(monkeypa
     for text in FIXTURES.values():
         classify_point(parse_ideal(text), [0, 0], max_depth=8)
     analyze_fourbar(FourBarParams.of(Q(3, 2), Q(3, 2)))
+    # a reduced full fiber's non-reduced locus is the zero algebra, made with
+    # no quotient; this germ adds the quotients of one more non-reduced fiber
+    classify_point(parse_ideal("vars: x,y\n(y^2 - x^3)*((y - x)^2 - x^4)\n"), [0, 0])
     assert sum(a.dimension > 2 for a in algebras) >= 5
     assert len(quotients) >= 10 and sum(q.dimension > 0 for q in quotients) >= 3
     for q in quotients:

@@ -113,6 +113,30 @@ def test_nonreduced_locus_empty_for_radical():
     assert is_unit_ideal(nonreduced_locus(make_ideal("t,y", "t", "y^2 - 1")))
 
 
+def test_reduced_algebra_reaches_the_zero_algebra_without_echelon_or_operator(monkeypatch):
+    # N = 0: the annihilator is all of A, so the quotient is the zero algebra
+    # of I + <1>, exactly as the quotient by the unit element presents it
+    from realcurve import zerodim
+    from realcurve.zerodim import ZeroDimAlgebra, nonreduced_quotient
+
+    a = build(make_ideal("x,y", "x^2 - 1", "y - x"))
+    expected = a.quotient([a.operator(poly("1"))])
+    cut = [poly("x - 1")]
+
+    def forbidden(*args):
+        raise AssertionError("the reduced case reached the echelon or an operator")
+
+    monkeypatch.setattr(zerodim, "echelon_insert", forbidden)
+    monkeypatch.setattr(ZeroDimAlgebra, "operator", forbidden)
+    out = nonreduced_quotient(a, cut)
+    assert out.ideal.generators == a.ideal.generators + (poly("1"),)
+    assert (out.ideal, out.basis, out.mult_matrices) == (
+        expected.ideal,
+        expected.basis,
+        expected.mult_matrices,
+    )
+
+
 def test_nonreduced_locus_mixed():
     # y^2*(y^2+1): primary components <y^2> and <y^2+1>; only y=0 among the
     # real points carries multiplicity
