@@ -661,8 +661,9 @@ NILRADICAL_RUNS = AGREEMENT_RUNS + NONREDUCED_GERMS
 def test_nilradical_locus_agrees_with_seidenberg_quotient(monkeypatch, label, run):
     from realcurve.zerodim import nonreduced_locus, zerodim_radical
 
-    # every chart of every blow-up, the ones dropped for an empty restricted
-    # fiber included: their full fibers can still be non-reduced
+    # every chart that gets a fiber algebra, the ones then dropped for an
+    # empty restricted fiber included: their full fibers can still be
+    # non-reduced
     charts = _fibered_charts(monkeypatch, run)
     fibers = dict.fromkeys(fiber_ideal(chart, dedup=False) for chart in charts)
     fibers = [full for full in fibers if not is_unit_ideal(full)]
